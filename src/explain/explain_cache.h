@@ -50,8 +50,10 @@ std::string ExplainCacheKey(const AnomalyAnnotation& annotation,
 /// \brief Single-flight LRU cache of completed Explain reports.
 ///
 /// Thread-safe. Completed entries are shared as
-/// `shared_ptr<const Result<ExplanationReport>>`, so a hit is one map lookup
-/// plus a refcount bump — no report copy until the caller needs one.
+/// `shared_ptr<const Result<ExplanationReport>>`, so inside the cache a hit
+/// is one map lookup plus a refcount bump. `XStreamSystem::Explain` returns
+/// the report by value, though, so every hit served through it still pays a
+/// deep copy of the report, every ranked feature's series included.
 class ExplainResultCache {
  public:
   using ResultPtr = std::shared_ptr<const Result<ExplanationReport>>;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ts/clustering.h"
 #include "ts/entropy_distance.h"
 
 namespace exstream {
@@ -20,21 +19,56 @@ std::string_view IntervalLabelToString(IntervalLabel label) {
   return "?";
 }
 
-double IntervalDistance(const TimeSeries& a, const TimeSeries& b,
-                        const LabelingOptions& options) {
-  if (a.empty() || b.empty()) return 1.0;
-  // Entropy distance: D == 1 means the two intervals' monitored values are
-  // perfectly separable (very different behavior); D near 0 means mixed
-  // (similar behavior). This is exactly an inter-interval distance.
-  const double d_entropy = ComputeEntropyDistance(a.values(), b.values()).distance;
-  const double fa = a.Frequency();
-  const double fb = b.Frequency();
+namespace {
+
+// Weighted mix of the entropy distance and the normalized frequency
+// difference; shared by IntervalDistance and IntervalDistanceMatrix.
+double CombineDistance(double d_entropy, double fa, double fb,
+                       const LabelingOptions& options) {
   const double d_freq =
       std::max(fa, fb) > 0 ? std::fabs(fa - fb) / std::max(fa, fb) : 0.0;
   const double wsum = options.entropy_weight + options.frequency_weight;
   if (wsum <= 0) return 0.0;
   return (options.entropy_weight * d_entropy + options.frequency_weight * d_freq) /
          wsum;
+}
+
+}  // namespace
+
+double IntervalDistance(const TimeSeries& a, const TimeSeries& b,
+                        const LabelingOptions& options) {
+  if (a.empty() || b.empty()) return 1.0;
+  // Entropy distance: D == 1 means the two intervals' monitored values are
+  // perfectly separable (very different behavior); D near 0 means mixed
+  // (similar behavior). This is exactly an inter-interval distance.
+  const double d_entropy =
+      SortedEntropyDistance(SortedValues(a.values()), SortedValues(b.values()));
+  return CombineDistance(d_entropy, a.Frequency(), b.Frequency(), options);
+}
+
+DistanceMatrix IntervalDistanceMatrix(const std::vector<const TimeSeries*>& series,
+                                      const LabelingOptions& options) {
+  // Each series is sorted once up front, so a pair costs one linear merge
+  // instead of two sorts.
+  const size_t n = series.size();
+  std::vector<std::vector<double>> sorted(n);
+  std::vector<double> frequency(n);
+  for (size_t i = 0; i < n; ++i) {
+    sorted[i] = SortedValues(series[i]->values());
+    frequency[i] = series[i]->Frequency();
+  }
+  DistanceMatrix dist(n);  // one flat allocation, not n+1 row vectors
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const double d =
+          sorted[i].empty() || sorted[j].empty()
+              ? 1.0
+              : CombineDistance(SortedEntropyDistance(sorted[i], sorted[j]),
+                                frequency[i], frequency[j], options);
+      dist.Set(i, j, d);
+    }
+  }
+  return dist;
 }
 
 Result<std::vector<LabeledInterval>> LabelIntervals(
@@ -48,13 +82,7 @@ Result<std::vector<LabeledInterval>> LabelIntervals(
   series.push_back(&annotated_reference.series);
   for (const auto& c : candidates) series.push_back(&c.series);
 
-  const size_t n = series.size();
-  DistanceMatrix dist(n);  // one flat allocation, not n+1 row vectors
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      dist.Set(i, j, IntervalDistance(*series[i], *series[j], options));
-    }
-  }
+  const DistanceMatrix dist = IntervalDistanceMatrix(series, options);
   EXSTREAM_ASSIGN_OR_RETURN(const ClusteringResult clusters,
                             AgglomerativeCluster(dist, options.cut_threshold));
 

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,13 +70,26 @@ struct AbnormalRange {
 /// reference-interval value samples.
 ///
 /// Ordering of samples is irrelevant (set-based measure). Returns distance 0
-/// when either side is empty (no class contrast exists).
+/// when either side is empty (no class contrast exists). Each side is sorted
+/// on its own (SortedValues) and the two are merged in one linear pass.
 EntropyDistanceResult ComputeEntropyDistance(const std::vector<double>& abnormal_values,
                                              const std::vector<double>& reference_values);
 
 /// \brief Convenience overload on the two interval time series of a feature.
 EntropyDistanceResult ComputeEntropyDistance(const TimeSeries& abnormal,
                                              const TimeSeries& reference);
+
+/// \brief D(f) alone, over sides already sorted ascending by SortedValues.
+///
+/// Bit-identical to `ComputeEntropyDistance(...).distance` on the unsorted
+/// values. For callers that compare many series pairwise: sort each series
+/// once, then every pair costs one linear merge.
+double SortedEntropyDistance(std::span<const double> abnormal_sorted,
+                             std::span<const double> reference_sorted);
+
+/// \brief Ascending copy of `values` (LSD radix sort over the doubles'
+/// order-preserving bit image; std::sort for short inputs).
+std::vector<double> SortedValues(std::span<const double> values);
 
 /// \brief Extracts the abnormal value ranges from a segmentation.
 ///

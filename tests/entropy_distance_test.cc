@@ -1,10 +1,15 @@
 #include "ts/entropy_distance.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "entropy_distance_reference.h"
 
 namespace exstream {
 namespace {
@@ -183,6 +188,157 @@ TEST_P(EntropyPropertyTest, Invariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EntropyPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// --- Differential check against the reference implementation ---------------
+//
+// The production kernel sorts each side on its own and merges; the reference
+// tags, sorts and groups all points together. Every field must agree bit for
+// bit. One exception is legitimate: -0.0 and 0.0 compare equal, so they fall
+// into one value group in both implementations, but which of the two becomes
+// the group's value depends on where each sort puts it. A zero segment edge
+// (min_value/max_value) may therefore differ in sign; it is compared with ==.
+// Nothing else is loosened.
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectIdenticalToReference(const std::vector<double>& a,
+                                const std::vector<double>& r) {
+  const EntropyDistanceResult want = reference::ComputeEntropyDistance(a, r);
+  const EntropyDistanceResult got = ComputeEntropyDistance(a, r);
+  EXPECT_EQ(Bits(got.class_entropy), Bits(want.class_entropy));
+  EXPECT_EQ(Bits(got.segmentation_entropy), Bits(want.segmentation_entropy));
+  EXPECT_EQ(Bits(got.regularized_entropy), Bits(want.regularized_entropy));
+  EXPECT_EQ(Bits(got.distance), Bits(want.distance));
+  EXPECT_EQ(got.abnormal_count, want.abnormal_count);
+  EXPECT_EQ(got.reference_count, want.reference_count);
+  ASSERT_EQ(got.segments.size(), want.segments.size());
+  auto same_edge = [](double g, double w) {
+    return w == 0.0 ? g == 0.0 : Bits(g) == Bits(w);
+  };
+  for (size_t k = 0; k < want.segments.size(); ++k) {
+    const Segment& g = got.segments[k];
+    const Segment& w = want.segments[k];
+    EXPECT_EQ(g.cls, w.cls) << "segment " << k;
+    EXPECT_TRUE(same_edge(g.min_value, w.min_value))
+        << "segment " << k << " min " << g.min_value << " vs " << w.min_value;
+    EXPECT_TRUE(same_edge(g.max_value, w.max_value))
+        << "segment " << k << " max " << g.max_value << " vs " << w.max_value;
+    EXPECT_EQ(g.abnormal_points, w.abnormal_points) << "segment " << k;
+    EXPECT_EQ(g.reference_points, w.reference_points) << "segment " << k;
+  }
+  // The distance-only entry point over pre-sorted sides.
+  EXPECT_EQ(Bits(SortedEntropyDistance(SortedValues(a), SortedValues(r))),
+            Bits(want.distance));
+}
+
+enum class Shape { kContinuous, kHeavyTies, kAllEqual, kNegative, kZerosAndDenormals };
+
+std::vector<double> Draw(Rng& rng, Shape shape, size_t n, double shift) {
+  constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {-0.0, 0.0, kDenormal, -kDenormal, 3 * kDenormal,
+                             std::numeric_limits<double>::min(), -1.0, 1.0};
+  const double level = std::round(rng.Uniform(-3, 3));
+  std::vector<double> v(n);
+  for (double& x : v) {
+    switch (shape) {
+      case Shape::kContinuous:
+        x = rng.Gaussian(shift, 1.0);
+        break;
+      case Shape::kHeavyTies:
+        x = static_cast<double>(rng.UniformInt(0, 3)) + shift;
+        break;
+      case Shape::kAllEqual:
+        x = level;
+        break;
+      case Shape::kNegative:
+        x = -std::fabs(rng.Gaussian(shift, 1e3)) - 1e-9;
+        break;
+      case Shape::kZerosAndDenormals:
+        x = specials[rng.UniformInt(0, std::size(specials) - 1)];
+        break;
+    }
+  }
+  return v;
+}
+
+// Sizes on both sides of the radix cutoff (128): short sides take std::sort,
+// long ones the radix sort, and a pair may mix the two.
+constexpr size_t kSizes[] = {1, 2, 7, 64, 127, 128, 129, 300, 2000};
+
+class EntropyDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EntropyDifferentialTest, MatchesReferenceBitForBit) {
+  Rng rng(GetParam());
+  for (Shape shape : {Shape::kContinuous, Shape::kHeavyTies, Shape::kAllEqual,
+                      Shape::kNegative, Shape::kZerosAndDenormals}) {
+    for (size_t na : kSizes) {
+      const size_t nr = kSizes[rng.UniformInt(0, std::size(kSizes) - 1)];
+      const double shift = rng.Uniform(-1, 1);
+      SCOPED_TRACE(::testing::Message() << "shape " << static_cast<int>(shape)
+                                        << " sizes " << na << "/" << nr);
+      ExpectIdenticalToReference(Draw(rng, shape, na, 0.0),
+                                 Draw(rng, shape, nr, shift));
+    }
+  }
+}
+
+TEST_P(EntropyDifferentialTest, MixedShapesMatchReference) {
+  // Each side drawn from a different shape: negative against zeros,
+  // ties against continuous values, and so on.
+  Rng rng(GetParam() + 1000);
+  const Shape shapes[] = {Shape::kContinuous, Shape::kHeavyTies, Shape::kAllEqual,
+                          Shape::kNegative, Shape::kZerosAndDenormals};
+  for (int trial = 0; trial < 40; ++trial) {
+    const Shape sa = shapes[rng.UniformInt(0, std::size(shapes) - 1)];
+    const Shape sr = shapes[rng.UniformInt(0, std::size(shapes) - 1)];
+    const size_t na = kSizes[rng.UniformInt(0, std::size(kSizes) - 1)];
+    const size_t nr = kSizes[rng.UniformInt(0, std::size(kSizes) - 1)];
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectIdenticalToReference(Draw(rng, sa, na, 0.0), Draw(rng, sr, nr, 0.5));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EntropyDifferentialTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+TEST(EntropyDifferentialTest, OneEmptySideMatchesReference) {
+  Rng rng(7);
+  for (size_t n : kSizes) {
+    const std::vector<double> v = Draw(rng, Shape::kContinuous, n, 0.0);
+    ExpectIdenticalToReference(v, {});
+    ExpectIdenticalToReference({}, v);
+  }
+  ExpectIdenticalToReference({}, {});
+}
+
+TEST(EntropyDifferentialTest, AllEqualSidesMatchReference) {
+  for (size_t n : kSizes) {
+    ExpectIdenticalToReference(std::vector<double>(n, 4.0), std::vector<double>(n, 4.0));
+    ExpectIdenticalToReference(std::vector<double>(n, 4.0), std::vector<double>(129, 5.0));
+    ExpectIdenticalToReference(std::vector<double>(n, -0.0), std::vector<double>(n, 0.0));
+  }
+}
+
+TEST(SortedValuesTest, AscendingPermutationOnBothSidesOfTheCutoff) {
+  Rng rng(11);
+  for (Shape shape : {Shape::kContinuous, Shape::kHeavyTies, Shape::kNegative,
+                      Shape::kZerosAndDenormals}) {
+    for (size_t n : kSizes) {
+      const std::vector<double> in = Draw(rng, shape, n, 0.0);
+      const std::vector<double> out = SortedValues(in);
+      ASSERT_EQ(out.size(), in.size());
+      EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+      // Same values, bit for bit, including the sign of every zero.
+      std::vector<uint64_t> in_bits;
+      std::vector<uint64_t> out_bits;
+      for (double v : in) in_bits.push_back(Bits(v));
+      for (double v : out) out_bits.push_back(Bits(v));
+      std::sort(in_bits.begin(), in_bits.end());
+      std::sort(out_bits.begin(), out_bits.end());
+      EXPECT_EQ(in_bits, out_bits);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace exstream

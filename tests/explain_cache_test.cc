@@ -83,6 +83,10 @@ TEST(ExplainCacheTest, SingleFlightDedupesConcurrentCallers) {
     threads.emplace_back([&, t] { results[t] = cache.GetOrCompute("k", slow); });
   }
   while (computed.load() == 0) std::this_thread::yield();
+  // Release the owner only once the other three callers have joined its
+  // flight: released earlier, a late caller finds the finished entry and
+  // counts as a hit instead of a single-flight wait.
+  while (cache.stats().single_flight_waits < 3) std::this_thread::yield();
   release.store(true);
   for (auto& t : threads) t.join();
   EXPECT_EQ(computed.load(), 1);

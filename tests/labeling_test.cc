@@ -1,5 +1,9 @@
 #include "explain/labeling.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -51,6 +55,43 @@ TEST(IntervalDistanceTest, FrequencyDifferenceCounts) {
 
 TEST(IntervalDistanceTest, EmptySeriesMaximallyFar) {
   EXPECT_DOUBLE_EQ(IntervalDistance(TimeSeries(), Level(1, 0, 10, 1)), 1.0);
+}
+
+TEST(IntervalDistanceMatrixTest, EqualsPairwiseIntervalDistance) {
+  // The matrix sorts each series once and merges pairs; every cell must be
+  // the exact double IntervalDistance returns for that pair. Levels overlap
+  // so entropy distances land strictly between 0 and 1, values are rounded
+  // so sides share values (mixed segments), and one series is empty.
+  std::vector<TimeSeries> owned;
+  Rng rng(5);
+  for (int k = 0; k < 12; ++k) {
+    const Timestamp step = 1 + rng.UniformInt(0, 4);
+    const Timestamp start = 100 * k;
+    const Timestamp end = start + 10 + rng.UniformInt(0, 300);
+    TimeSeries s;
+    for (Timestamp t = start; t <= end; t += step) {
+      (void)s.Append(t, std::round(rng.Gaussian(k % 3, 1.5) * 4) / 4);
+    }
+    owned.push_back(std::move(s));
+  }
+  owned.emplace_back();
+  std::vector<const TimeSeries*> series;
+  for (const TimeSeries& s : owned) series.push_back(&s);
+
+  for (const LabelingOptions& options :
+       {LabelingOptions{}, LabelingOptions{0.35, 1.0, 0.0}, LabelingOptions{0.35, 0.2, 0.8}}) {
+    const DistanceMatrix dist = IntervalDistanceMatrix(series, options);
+    ASSERT_EQ(dist.size(), series.size());
+    for (size_t i = 0; i < series.size(); ++i) {
+      EXPECT_EQ(dist.at(i, i), 0.0);
+      for (size_t j = i + 1; j < series.size(); ++j) {
+        const double want = IntervalDistance(*series[i], *series[j], options);
+        EXPECT_EQ(std::bit_cast<uint64_t>(dist.at(i, j)), std::bit_cast<uint64_t>(want))
+            << "pair " << i << "," << j;
+        EXPECT_EQ(dist.at(j, i), dist.at(i, j));
+      }
+    }
+  }
 }
 
 TEST(LabelingTest, CandidatesInheritNearestAnnotationLabel) {
