@@ -13,10 +13,8 @@
 // 0 = one per hardware thread). The explanation itself is identical for any
 // thread count.
 //
-// --ingest-threads N shards batched CEP ingestion over N worker threads
-// (default 1 = serial batched; 0 = one per hardware thread); match tables and
-// notifications are bit-identical for any value. --batch-size B sets the
-// replay batch size (default 512).
+// --batch-size B sets the replay batch size (default 512); match tables and
+// notifications are bit-identical for any value.
 //
 // --deadline-ms MS bounds one Explain call to MS milliseconds of wall clock;
 // on expiry the CLI reports how far the pipeline got and exits with status 3.
@@ -95,6 +93,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/stopwatch.h"
@@ -386,11 +385,22 @@ int RunMultiTenantParent(std::map<std::string, std::string>& args,
   return 0;
 }
 
+// Flags that take a value (`--name value`). Any other `--name` is rejected,
+// so a misspelled or removed flag fails loudly instead of being ignored or
+// swallowing the next argument as its value.
+const std::set<std::string> kValueFlags = {
+    "backpressure", "batch-size", "chart", "checkpoint", "column",
+    "deadline-ms", "detect-threshold", "drain-ms", "events", "expect-events",
+    "explain", "explain-cache", "fsync", "incremental-retention", "listen",
+    "listen-for-ms", "node-id", "query", "queue-capacity", "quota-burst-bytes",
+    "quota-bytes-per-sec", "recover", "reference", "repl-state", "replicate-to",
+    "save-rule", "schema", "tenant", "tenants", "threads", "tier-windows",
+    "tier0-retention", "tiered-reference", "wal-dir", "z-threshold"};
+
 int Run(int argc, char** argv) {
   std::map<std::string, std::string> args;
   bool demo = argc <= 1;  // bare invocation runs the self-contained demo
   bool list_partitions = false;
-  bool query_merge = true;
   bool detect = false;
   bool auto_explain = false;
   for (int i = 1; i < argc; ++i) {
@@ -403,11 +413,8 @@ int Run(int argc, char** argv) {
       detect = true;
     } else if (arg == "--auto-explain") {
       auto_explain = true;
-    } else if (arg == "--no-query-merge") {
-      // Escape hatch: evaluate every query on its own automaton (the legacy
-      // per-query path) instead of merging equivalent queries.
-      query_merge = false;
-    } else if (StartsWith(arg, "--") && i + 1 < argc) {
+    } else if (StartsWith(arg, "--") && kValueFlags.count(arg.substr(2)) != 0 &&
+               i + 1 < argc) {
       args[arg.substr(2)] = argv[++i];
     } else {
       fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
@@ -439,8 +446,7 @@ int Run(int argc, char** argv) {
     fprintf(stderr,
             "usage: exstream_cli --demo | --schema F --events F --query F\n"
             "       [--column NAME] [--list-partitions] [--chart PARTITION]\n"
-            "       [--threads N] [--ingest-threads N] [--batch-size B]\n"
-            "       [--no-query-merge]\n"
+            "       [--threads N] [--batch-size B]\n"
             "       [--deadline-ms MS]\n"
             "       [--wal-dir DIR] [--fsync none|interval|every_batch]\n"
             "       [--checkpoint DIR] [--recover DIR]\n"
@@ -479,11 +485,6 @@ int Run(int argc, char** argv) {
   if (args.count("deadline-ms")) {
     config.explain.deadline_ms = strtod(args["deadline-ms"].c_str(), nullptr);
   }
-  if (args.count("ingest-threads")) {
-    config.ingest.ingest_threads =
-        static_cast<size_t>(strtoull(args["ingest-threads"].c_str(), nullptr, 10));
-  }
-  config.ingest.enable_query_merge = query_merge;
   size_t batch_size = kDefaultIngestBatchSize;
   if (args.count("batch-size")) {
     batch_size = static_cast<size_t>(strtoull(args["batch-size"].c_str(), nullptr, 10));
@@ -644,10 +645,8 @@ int Run(int argc, char** argv) {
     if (ingest_secs > 0.0) {
       // stderr: a measured rate varies run to run, and stdout is expected to be
       // byte-identical across thread counts (the determinism contract).
-      fprintf(stderr,
-              "ingest throughput: %.0f events/sec (batch %zu, ingest threads %zu)\n",
-              static_cast<double>(num_events) / ingest_secs, batch_size,
-              config.ingest.ingest_threads);
+      fprintf(stderr, "ingest throughput: %.0f events/sec (batch %zu)\n",
+              static_cast<double>(num_events) / ingest_secs, batch_size);
     }
   } else if (args.count("listen") == 0) {
     printf("recovered state: %zu match rows\n",

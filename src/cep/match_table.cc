@@ -60,24 +60,15 @@ void MatchTable::MarkComplete(const std::string& partition) {
   MarkComplete(EnsureBucket(partition));
 }
 
-std::vector<std::unique_lock<std::mutex>> MatchTable::LockAllStripes() const {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(kNumStripes);
-  for (std::mutex& m : stripe_mu_) locks.emplace_back(m);
-  return locks;
-}
-
 bool MatchTable::IsComplete(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return false;
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   return buckets_[i].complete;
 }
 
 std::vector<std::string> MatchTable::Partitions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   std::vector<std::string> out;
   out.reserve(buckets_.size());
   for (const Bucket& b : buckets_) {
@@ -93,7 +84,6 @@ std::vector<MatchRow> MatchTable::Rows(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return {};
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   const Bucket& b = buckets_[i];
   std::vector<MatchRow> out(b.ts.size());
   for (size_t r = 0; r < b.ts.size(); ++r) {
@@ -109,13 +99,11 @@ size_t MatchTable::NumRows(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return 0;
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   return buckets_[i].ts.size();
 }
 
 size_t MatchTable::TotalRows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   size_t n = 0;
   for (const Bucket& b : buckets_) n += b.ts.size();
   return n;
@@ -129,7 +117,6 @@ Result<TimeSeries> MatchTable::ExtractSeries(const std::string& partition,
   if (i >= buckets_.size()) {
     return Status::NotFound("no match rows for partition '" + partition + "'");
   }
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   const Bucket& b = buckets_[i];
   TimeSeries out;
   for (size_t r = 0; r < b.ts.size(); ++r) {
@@ -142,7 +129,6 @@ Result<TimeSeries> MatchTable::ExtractSeries(const std::string& partition,
 
 void MatchTable::SaveState(BytesWriter* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   out->Put<uint32_t>(static_cast<uint32_t>(buckets_.size()));
   for (const Bucket& b : buckets_) {
     out->PutString(b.key);

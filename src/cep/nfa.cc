@@ -273,21 +273,14 @@ void QueryRun::BuildRow(const Event& trigger, MatchRow* out) const {
   AppendRowValues(trigger, &out->values);
 }
 
-RunStepResult QueryRun::OnEvent(const Event& event) {
-  MatchRow row;
-  RunStepResult result = OnEvent(event, &row);
-  result.row = std::move(row);
-  return result;
-}
-
 RunStepResult QueryRun::OnEvent(const Event& event, MatchRow* row) {
-  RunStepResult result = OnEventDeferred(event);
+  RunStepResult result = Advance(event);
   if (result.emitted_row) BuildRow(event, row);
   if (result.match_complete) Reset();
   return result;
 }
 
-RunStepResult QueryRun::OnEventDeferred(const Event& event) {
+RunStepResult QueryRun::Advance(const Event& event) {
   RunStepResult result;
   const size_t num_components = cq_->components_.size();
   const bool run_active = kleene_active_ || last_positive_ >= 0;
@@ -367,39 +360,5 @@ void QueryRun::SaveState(BytesWriter* out) const {
   }
 }
 
-Status QueryRun::RestoreState(BytesReader* in) {
-  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t state, in->Get<uint64_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const int32_t last_positive, in->Get<int32_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const int64_t run_start, in->Get<int64_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint8_t kleene_active, in->Get<uint8_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t kleene_count, in->Get<uint64_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint16_t n_bound, in->Get<uint16_t>());
-  if (n_bound != bound_.size()) {
-    return Status::Corruption(
-        StrFormat("run snapshot binds %u components, query has %zu", n_bound,
-                  bound_.size()));
-  }
-  for (Event& e : bound_) {
-    EXSTREAM_ASSIGN_OR_RETURN(e, GetEvent(in));
-  }
-  EXSTREAM_ASSIGN_OR_RETURN(const uint16_t n_aggs, in->Get<uint16_t>());
-  if (n_aggs != aggs_.size()) {
-    return Status::Corruption(
-        StrFormat("run snapshot carries %u aggregates, query has %zu", n_aggs,
-                  aggs_.size()));
-  }
-  for (AggState& a : aggs_) {
-    EXSTREAM_ASSIGN_OR_RETURN(a.sum, in->Get<double>());
-    EXSTREAM_ASSIGN_OR_RETURN(a.min, in->Get<double>());
-    EXSTREAM_ASSIGN_OR_RETURN(a.max, in->Get<double>());
-    EXSTREAM_ASSIGN_OR_RETURN(a.count, in->Get<uint64_t>());
-  }
-  state_ = static_cast<size_t>(state);
-  last_positive_ = last_positive;
-  run_start_ = run_start;
-  kleene_active_ = kleene_active != 0;
-  kleene_count_ = static_cast<size_t>(kleene_count);
-  return Status::OK();
-}
 
 }  // namespace exstream

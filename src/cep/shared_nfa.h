@@ -17,9 +17,9 @@
 // (tests/query_merge_test.cc, tests/ingest_differential_test.cc).
 //
 // Checkpoint compatibility: SaveMemberView serializes the state one member's
-// QueryRun would have held, byte-identical to QueryRun::SaveState, so
-// snapshots round-trip between merged and unmerged engines in either
-// direction.
+// QueryRun would have held, byte-identical to QueryRun::SaveState, so an
+// engine snapshot does not depend on the merge plan (and equals the snapshot
+// of independent per-query evaluation, tests/cep_reference.h).
 
 #pragma once
 
@@ -102,9 +102,9 @@ class SharedRun {
   explicit SharedRun(const SharedNfa* nfa);
 
   /// \brief Advances the run without building rows or resetting on
-  /// completion (the OnEventDeferred contract): the caller harvests rows per
-  /// residue via AppendRowValues while the pre-reset state is intact, then
-  /// calls Reset() itself when match_complete.
+  /// completion: the caller harvests rows per residue via AppendRowValues
+  /// while the pre-reset state is intact, then calls Reset() itself when
+  /// match_complete.
   SharedStepResult Step(const Event& event);
 
   /// Appends `residue`'s RETURN values for `trigger` onto `*out`, in column

@@ -111,9 +111,8 @@ struct XStreamConfig {
   /// Explanation pipeline knobs; `explain.num_threads` sizes the worker pool
   /// every Explain/ExplainAsync call analyzes with (1 = serial).
   ExplainOptions explain;
-  /// CEP ingestion knobs; `ingest.ingest_threads` shards batched ingest over
-  /// a worker pool (1 = serial batched, 0 = hardware concurrency). Results
-  /// are bit-identical for any value.
+  /// CEP engine options (none today: the engine ingests on the calling
+  /// thread; parallel ingest runs one system per tenant under TenantHub).
   CepEngineOptions ingest;
   /// Front-end validation / lateness tolerance / reject quarantine.
   IngestGuardOptions guard;

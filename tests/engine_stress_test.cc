@@ -1,13 +1,17 @@
 // Stress and consistency tests of the CEP engine: many concurrent queries,
 // many interleaved partitions, and agreement between replicated queries.
+// The concurrency cases (readers, checkpoints and ExplainAsync during
+// ingest) are in shard_pipeline_stress_test.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "cep/engine.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "sim/hadoop_sim.h"
-#include "xstream/system.h"
 
 namespace exstream {
 namespace {
@@ -116,8 +120,8 @@ TEST_F(EngineStressTest, EventCountingAndRelevance) {
 }
 
 TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
-  // 64 replicas sharded over 4 ingest threads must agree with the serial
-  // per-event engine — the sharded flavor of ReplicatedQueriesAgree.
+  // 64 replicas ingested in batches must agree with the per-event engine —
+  // the batched flavor of ReplicatedQueriesAgree.
   const auto stream = RandomStream(5, 10, 5000);
 
   CepEngine serial(&registry_);
@@ -125,9 +129,7 @@ TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
   for (const Event& e : stream) serial.OnEvent(e);
   const MatchTable& reference = serial.match_table(0);
 
-  CepEngineOptions options;
-  options.ingest_threads = 4;
-  CepEngine engine(&registry_, options);
+  CepEngine engine(&registry_);
   std::vector<QueryId> ids;
   for (int i = 0; i < 64; ++i) {
     auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", i));
@@ -153,81 +155,6 @@ TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
         EXPECT_DOUBLE_EQ(a[i].values[2].AsDouble(), b[i].values[2].AsDouble());
       }
     }
-  }
-}
-
-TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
-  // End-to-end race test (meant for TSan): sharded batched ingestion keeps
-  // feeding the system while an explanation analysis scans the archive.
-  EventTypeRegistry registry;
-  ASSERT_TRUE(HadoopClusterSim::RegisterEventTypes(&registry).ok());
-
-  XStreamConfig config;
-  config.explain.feature_space.windows = {10};
-  config.explain.num_threads = 2;
-  config.ingest.ingest_threads = 4;
-  XStreamSystem system(&registry, config);
-
-  constexpr char kQ1[] =
-      "PATTERN SEQ(JobStart a, DataIO+ b[], JobEnd c) WHERE [jobId] "
-      "RETURN (b[i].timestamp, a.jobId, sum(b[1..i].dataSize))";
-  std::vector<QueryId> ids;
-  for (int i = 0; i < 8; ++i) {
-    auto qid = system.AddQuery(kQ1, StrFormat("Q%d", i));
-    ASSERT_TRUE(qid.ok()) << qid.status().ToString();
-    ids.push_back(*qid);
-  }
-
-  HadoopSimConfig sim_config;
-  sim_config.num_nodes = 3;
-  sim_config.seed = 77;
-  HadoopClusterSim sim(sim_config, &registry);
-  HadoopJobConfig job;
-  job.job_id = "job-x";
-  job.program = "p";
-  job.dataset = "d";
-  sim.AddJob(job);
-  AnomalySpec anomaly;
-  anomaly.type = AnomalyType::kHighMemory;
-  anomaly.start = 60;
-  anomaly.end = 300;
-  sim.AddAnomaly(anomaly);
-  ASSERT_TRUE(sim.Run(&system).ok());  // ReplayMove: batched + sharded ingest
-  ASSERT_GT(system.engine().match_table(ids[0]).NumRows("job-x"), 50u);
-  ASSERT_TRUE(system.IndexPartitions(ids[0], {{"program", "p"}}).ok());
-
-  AnomalyAnnotation annotation;
-  annotation.abnormal = {"Q0", {60, 300}, "job-x"};
-  annotation.reference = {"Q0", {360, 600}, "job-x"};
-  auto future = system.ExplainAsync(annotation, ids[0], "sum_dataSize");
-
-  // Keep the monitoring side hot while the analysis runs: batches of fresh
-  // metric events (ts past the simulated horizon, so archive order holds).
-  const EventTypeId cpu = *registry.IdOf("CpuUsage");
-  const EventTypeId mem = *registry.IdOf("MemUsage");
-  Timestamp ts = 1000000;
-  for (int round = 0; round < 40; ++round) {
-    EventBatch batch;
-    batch.reserve(100);
-    for (int i = 0; i < 50; ++i) {
-      batch.emplace_back(cpu, ++ts,
-                         MakeValues(int64_t{i % 3}, 50.0, 50.0, 1.0,
-                                    static_cast<double>(ts)));
-      batch.emplace_back(mem, ++ts,
-                         MakeValues(int64_t{i % 3}, 1e6, 1e5, 1e4, 1e6, 2e6, 4e6,
-                                    100.0));
-    }
-    system.OnEventBatch(std::move(batch));
-  }
-
-  auto report = future.get();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->final_features.empty());
-  EXPECT_FALSE(system.explanation_active());
-  // All 8 replicas saw the identical stream.
-  for (const QueryId id : ids) {
-    EXPECT_EQ(system.engine().match_table(id).TotalRows(),
-              system.engine().match_table(ids[0]).TotalRows());
   }
 }
 

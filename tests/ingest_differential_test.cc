@@ -1,12 +1,12 @@
-// Differential test of the batched / sharded ingestion path.
+// Differential test of the engine's ingestion paths.
 //
-// Contract under test (see cep/engine.h): for ANY batch split and ANY
-// ingest_threads value, OnEventBatch must produce MatchTables and a match
-// callback sequence bit-identical to per-event sequential OnEvent. The
-// streams include adversarial partition-key skew — one hot key (every event
-// in the same partition: zero sharding parallelism inside a query) and
-// all-unique keys (every completion is a fresh partition: maximal interner
-// churn) — plus the random mixed stream the stress test uses.
+// Contract under test (see cep/engine.h): for ANY batch split, OnEventBatch
+// — and per-event OnEvent — must produce MatchTables, a match callback
+// sequence, and SaveState bytes bit-identical to the per-query reference
+// evaluator (cep_reference.h). The streams include adversarial partition-key
+// skew — one hot key (every event in the same partition) and all-unique keys
+// (every completion is a fresh partition: maximal interner churn) — plus the
+// random mixed stream the stress test uses.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cep/engine.h"
+#include "cep_reference.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -152,95 +153,93 @@ class IngestDifferentialTest : public ::testing::Test {
     return events;
   }
 
-  // Runs `num_queries` replicas per-event and returns tables + notes.
-  // merge=false is the legacy per-query evaluator — the ground truth every
-  // other configuration (merged, batched, sharded) is compared against.
-  void RunSequential(const std::vector<Event>& stream, int num_queries, bool merge,
-                     std::vector<TableCopy>* tables, std::vector<NoteCopy>* notes) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    std::vector<QueryId> ids;
+  struct Output {
+    std::vector<TableCopy> tables;
+    std::vector<NoteCopy> notes;
+    std::string snapshot;  ///< SaveState bytes after the whole stream
+  };
+
+  // Runs `num_queries` replicas through the per-query reference evaluator.
+  Output RunReference(const std::vector<Event>& stream, int num_queries) {
+    ReferenceCep ref(&registry_);
     for (int q = 0; q < num_queries; ++q) {
-      auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", q));
-      ASSERT_TRUE(qid.ok());
-      ids.push_back(*qid);
+      EXPECT_TRUE(ref.AddQueryText(kQuery, StrFormat("Q%d", q)).ok());
     }
-    engine.SetMatchCallback(
-        [notes](const MatchNotification& n) { notes->push_back(NoteCopy::From(n)); });
-    for (const Event& e : stream) engine.OnEvent(e);
-    for (const QueryId id : ids) tables->push_back(TableCopy::From(engine.match_table(id)));
+    Output out;
+    ref.SetMatchCallback(
+        [&out](const MatchNotification& n) { out.notes.push_back(NoteCopy::From(n)); });
+    for (const Event& e : stream) ref.OnEvent(e);
+    for (size_t q = 0; q < ref.num_queries(); ++q) {
+      out.tables.push_back(TableCopy::From(ref.match_table(static_cast<QueryId>(q))));
+    }
+    BytesWriter w;
+    ref.SaveState(&w);
+    out.snapshot = w.Take();
+    return out;
   }
 
-  // Runs the same replicas through OnEventBatch with the given sharding.
-  void RunBatched(const std::vector<Event>& stream, int num_queries,
-                  size_t ingest_threads, size_t batch_size, bool merge,
-                  std::vector<TableCopy>* tables, std::vector<NoteCopy>* notes) {
-    CepEngineOptions options;
-    options.ingest_threads = ingest_threads;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
+  // Runs the same replicas through the engine, cutting the stream into
+  // batches of the sizes in `splits` (cycled); empty `splits` = OnEvent.
+  Output RunEngine(const std::vector<Event>& stream, int num_queries,
+                   const std::vector<size_t>& splits) {
+    CepEngine engine(&registry_);
     std::vector<QueryId> ids;
     for (int q = 0; q < num_queries; ++q) {
       auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", q));
-      ASSERT_TRUE(qid.ok());
+      EXPECT_TRUE(qid.ok());
       ids.push_back(*qid);
     }
+    Output out;
     engine.SetMatchCallback(
-        [notes](const MatchNotification& n) { notes->push_back(NoteCopy::From(n)); });
-    for (size_t i = 0; i < stream.size(); i += batch_size) {
-      const size_t end = std::min(stream.size(), i + batch_size);
-      engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                                     stream.begin() + static_cast<ptrdiff_t>(end)));
+        [&out](const MatchNotification& n) { out.notes.push_back(NoteCopy::From(n)); });
+    if (splits.empty()) {
+      for (const Event& e : stream) engine.OnEvent(e);
+    } else {
+      size_t k = 0;
+      for (size_t i = 0; i < stream.size(); k = (k + 1) % splits.size()) {
+        const size_t end = std::min(stream.size(), i + splits[k]);
+        engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
+                                       stream.begin() + static_cast<ptrdiff_t>(end)));
+        i = end;
+      }
     }
     EXPECT_EQ(engine.events_processed(), stream.size());
-    for (const QueryId id : ids) tables->push_back(TableCopy::From(engine.match_table(id)));
+    for (const QueryId id : ids) out.tables.push_back(TableCopy::From(engine.match_table(id)));
+    BytesWriter w;
+    engine.SaveState(&w);
+    out.snapshot = w.Take();
+    return out;
   }
 
   void CheckDifferential(const std::vector<Event>& stream, int num_queries,
                          const std::string& stream_label) {
-    std::vector<TableCopy> ref_tables;
-    std::vector<NoteCopy> ref_notes;
-    RunSequential(stream, num_queries, /*merge=*/false, &ref_tables, &ref_notes);
-    ASSERT_FALSE(ref_notes.empty()) << stream_label << ": stream produced no matches";
+    const Output ref = RunReference(stream, num_queries);
+    ASSERT_FALSE(ref.notes.empty()) << stream_label << ": stream produced no matches";
 
-    auto compare = [&](const std::vector<TableCopy>& tables,
-                       const std::vector<NoteCopy>& notes,
-                       const std::string& label) {
-      ASSERT_EQ(tables.size(), ref_tables.size()) << label;
-      for (size_t q = 0; q < tables.size(); ++q) {
-        ExpectTablesEqual(ref_tables[q], tables[q], label);
-      }
-      ASSERT_EQ(notes.size(), ref_notes.size()) << label;
-      for (size_t i = 0; i < notes.size(); ++i) {
-        ASSERT_TRUE(notes[i] == ref_notes[i]) << label << " note #" << i;
-      }
-    };
+    // Batch splits: OnEvent (none), fixed sizes from single events to the
+    // whole stream, and a ragged seeded split whose boundaries fall
+    // everywhere relative to partition runs.
+    std::vector<std::vector<size_t>> splits = {
+        {}, {1}, {2}, {7}, {64}, {512}, {stream.size()}};
+    Rng rng(stream.size());
+    std::vector<size_t> ragged;
+    for (int i = 0; i < 64; ++i) ragged.push_back(static_cast<size_t>(rng.UniformInt(1, 97)));
+    splits.push_back(ragged);
 
-    // Merged sequential vs the legacy reference: the shared-NFA evaluator
-    // alone, no batching in play.
-    {
-      std::vector<TableCopy> tables;
-      std::vector<NoteCopy> notes;
-      RunSequential(stream, num_queries, /*merge=*/true, &tables, &notes);
-      compare(tables, notes, stream_label + " merged-sequential");
-    }
-
-    for (const bool merge : {true, false}) {
-      for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        for (const size_t batch : {size_t{1}, size_t{7}, size_t{512}}) {
-          // The legacy batched path needs one non-trivial config for
-          // coverage; the full grid belongs to the default (merged) mode.
-          if (!merge && (threads != 2 || batch != 7)) continue;
-          const std::string label =
-              StrFormat("%s merge=%d threads=%zu batch=%zu", stream_label.c_str(),
-                        merge, threads, batch);
-          std::vector<TableCopy> tables;
-          std::vector<NoteCopy> notes;
-          RunBatched(stream, num_queries, threads, batch, merge, &tables, &notes);
-          compare(tables, notes, label);
-        }
+    for (const std::vector<size_t>& split : splits) {
+      std::string label = stream_label + " per-event";
+      if (split.size() == 1) label = StrFormat("%s batch=%zu", stream_label.c_str(), split[0]);
+      if (split.size() > 1) label = stream_label + " ragged";
+      const Output got = RunEngine(stream, num_queries, split);
+      ASSERT_EQ(got.tables.size(), ref.tables.size()) << label;
+      for (size_t q = 0; q < got.tables.size(); ++q) {
+        ExpectTablesEqual(ref.tables[q], got.tables[q], label);
       }
+      ASSERT_EQ(got.notes.size(), ref.notes.size()) << label;
+      for (size_t i = 0; i < got.notes.size(); ++i) {
+        ASSERT_TRUE(got.notes[i] == ref.notes[i]) << label << " note #" << i;
+      }
+      EXPECT_TRUE(got.snapshot == ref.snapshot) << label << ": SaveState bytes differ";
     }
   }
 
@@ -259,12 +258,6 @@ TEST_F(IngestDifferentialTest, UniqueKeysBitIdentical) {
   CheckDifferential(UniqueKeyStream(1500), 5, "unique-keys");
 }
 
-TEST_F(IngestDifferentialTest, SingleQueryMoreShardsThanQueries) {
-  // ingest_threads > num_queries: shards beyond the query count must idle
-  // harmlessly and the result stays identical.
-  CheckDifferential(MixedStream(11, 8, 2000), 1, "single-query");
-}
-
 TEST_F(IngestDifferentialTest, UnpartitionedQueryBatched) {
   // A query with no WHERE [key] clause routes through the empty-key path.
   constexpr char kUnpartitioned[] =
@@ -272,31 +265,26 @@ TEST_F(IngestDifferentialTest, UnpartitionedQueryBatched) {
       "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
   const auto stream = HotKeyStream(1200);
 
-  auto run = [&](size_t threads, size_t batch_size, bool batched,
-                 bool merge = true) {
-    CepEngineOptions options;
-    options.ingest_threads = threads;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
+  ReferenceCep ref(&registry_);
+  ASSERT_TRUE(ref.AddQueryText(kUnpartitioned, "U").ok());
+  for (const Event& e : stream) ref.OnEvent(e);
+  const TableCopy want = TableCopy::From(ref.match_table(0));
+
+  for (const size_t batch_size : {size_t{0}, size_t{1}, size_t{64}}) {
+    CepEngine engine(&registry_);
     auto qid = engine.AddQueryText(kUnpartitioned, "U");
-    EXPECT_TRUE(qid.ok());
-    if (batched) {
+    ASSERT_TRUE(qid.ok());
+    if (batch_size == 0) {
+      for (const Event& e : stream) engine.OnEvent(e);
+    } else {
       for (size_t i = 0; i < stream.size(); i += batch_size) {
         const size_t end = std::min(stream.size(), i + batch_size);
         engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
                                        stream.begin() + static_cast<ptrdiff_t>(end)));
       }
-    } else {
-      for (const Event& e : stream) engine.OnEvent(e);
     }
-    return TableCopy::From(engine.match_table(*qid));
-  };
-
-  const TableCopy ref = run(1, 0, false, /*merge=*/false);  // legacy reference
-  ExpectTablesEqual(ref, run(1, 0, false), "unpartitioned merged per-event");
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ExpectTablesEqual(ref, run(threads, 64, true),
-                      StrFormat("unpartitioned threads=%zu", threads));
+    ExpectTablesEqual(want, TableCopy::From(engine.match_table(*qid)),
+                      StrFormat("unpartitioned batch=%zu", batch_size));
   }
 }
 

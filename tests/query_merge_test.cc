@@ -1,8 +1,8 @@
 // Tests of the multi-query optimizer: signature canonicalization
 // (query_merge.h), merge-class assignment, and full differential
-// bit-identity of the merged shared-NFA engine against the legacy
-// per-query evaluator on both paper simulators (Hadoop cluster and
-// supply chain).
+// bit-identity of the merged shared-NFA engine against the per-query
+// reference evaluator (cep_reference.h) on both paper simulators (Hadoop
+// cluster and supply chain): tables, callbacks and checkpoint bytes.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "cep/engine.h"
 #include "cep/query_merge.h"
+#include "cep_reference.h"
 #include "common/strings.h"
 #include "query/parser.h"
 #include "sim/hadoop_sim.h"
@@ -249,18 +250,39 @@ void ExpectTablesEqual(const TableCopy& a, const TableCopy& b,
 struct EngineOutput {
   std::vector<TableCopy> tables;
   std::vector<NoteCopy> notes;
+  std::string snapshot;  ///< SaveState bytes after the whole stream
 };
 
-// Runs `queries` through one engine configuration and captures everything an
-// observer can see: per-query MatchTables and the callback sequence.
+// Runs `queries` through the per-query reference evaluator and captures
+// everything an observer can see.
+EngineOutput RunReference(const EventTypeRegistry& registry,
+                          const std::vector<std::string>& queries,
+                          const std::vector<Event>& stream) {
+  ReferenceCep ref(&registry);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto qid = ref.AddQueryText(queries[q], StrFormat("Q%zu", q));
+    EXPECT_TRUE(qid.ok()) << qid.status().ToString();
+  }
+  EngineOutput out;
+  ref.SetMatchCallback([&out](const MatchNotification& n) {
+    out.notes.push_back(NoteCopy::From(n));
+  });
+  for (const Event& e : stream) ref.OnEvent(e);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    out.tables.push_back(TableCopy::From(ref.match_table(static_cast<QueryId>(q))));
+  }
+  BytesWriter w;
+  ref.SaveState(&w);
+  out.snapshot = w.Take();
+  return out;
+}
+
+// Runs `queries` through the engine (batch_size 0 = OnEvent) and captures
+// the same observables.
 EngineOutput RunEngine(const EventTypeRegistry& registry,
                        const std::vector<std::string>& queries,
-                       const std::vector<Event>& stream, bool merge,
-                       size_t ingest_threads, size_t batch_size) {
-  CepEngineOptions options;
-  options.enable_query_merge = merge;
-  options.ingest_threads = ingest_threads;
-  CepEngine engine(&registry, options);
+                       const std::vector<Event>& stream, size_t batch_size) {
+  CepEngine engine(&registry);
   std::vector<QueryId> ids;
   for (size_t q = 0; q < queries.size(); ++q) {
     auto qid = engine.AddQueryText(queries[q], StrFormat("Q%zu", q));
@@ -283,29 +305,23 @@ EngineOutput RunEngine(const EventTypeRegistry& registry,
   for (const QueryId id : ids) {
     out.tables.push_back(TableCopy::From(engine.match_table(id)));
   }
+  BytesWriter w;
+  engine.SaveState(&w);
+  out.snapshot = w.Take();
   return out;
 }
 
-void CheckMergedMatchesLegacy(const EventTypeRegistry& registry,
-                              const std::vector<std::string>& queries,
-                              const std::vector<Event>& stream,
-                              const std::string& label) {
-  // Ground truth: the legacy per-query evaluator, sequential.
-  const EngineOutput ref =
-      RunEngine(registry, queries, stream, /*merge=*/false, 1, 0);
+void CheckMergedMatchesReference(const EventTypeRegistry& registry,
+                                 const std::vector<std::string>& queries,
+                                 const std::vector<Event>& stream,
+                                 const std::string& label) {
+  const EngineOutput ref = RunReference(registry, queries, stream);
   ASSERT_FALSE(ref.notes.empty()) << label << ": stream produced no matches";
 
-  struct Config {
-    size_t threads;
-    size_t batch;
-  };
-  const Config configs[] = {{1, 0}, {1, 64}, {2, 64}, {8, 512}};
-  for (const Config& c : configs) {
-    const std::string run_label =
-        StrFormat("%s merged threads=%zu batch=%zu", label.c_str(), c.threads,
-                  c.batch);
-    const EngineOutput got =
-        RunEngine(registry, queries, stream, /*merge=*/true, c.threads, c.batch);
+  for (const size_t batch : {size_t{0}, size_t{1}, size_t{64}, size_t{512},
+                             stream.size()}) {
+    const std::string run_label = StrFormat("%s batch=%zu", label.c_str(), batch);
+    const EngineOutput got = RunEngine(registry, queries, stream, batch);
     ASSERT_EQ(got.tables.size(), ref.tables.size()) << run_label;
     for (size_t q = 0; q < got.tables.size(); ++q) {
       ExpectTablesEqual(ref.tables[q], got.tables[q],
@@ -316,6 +332,8 @@ void CheckMergedMatchesLegacy(const EventTypeRegistry& registry,
       ASSERT_TRUE(got.notes[i] == ref.notes[i])
           << run_label << " note #" << i << " (callback order must match)";
     }
+    EXPECT_TRUE(got.snapshot == ref.snapshot)
+        << run_label << ": SaveState bytes differ from the reference's";
   }
 }
 
@@ -358,7 +376,7 @@ TEST(QueryMergeDifferentialTest, HadoopSimulatorBitIdentical) {
       "PATTERN SEQ(JobStart a, DataIO+ b[], JobEnd c) WHERE [jobId] WITHIN 500 "
       "RETURN (b[i].timestamp, a.jobId, max(b[1..i].dataSize))",
   };
-  CheckMergedMatchesLegacy(registry, queries, stream, "hadoop");
+  CheckMergedMatchesReference(registry, queries, stream, "hadoop");
 }
 
 TEST(QueryMergeDifferentialTest, SupplyChainSimulatorBitIdentical) {
@@ -391,7 +409,7 @@ TEST(QueryMergeDifferentialTest, SupplyChainSimulatorBitIdentical) {
       "WHERE [productId] RETURN (b[i].timestamp, a.productId, "
       "min(b[1..i].quality))",
   };
-  CheckMergedMatchesLegacy(registry, queries, stream, "supply-chain");
+  CheckMergedMatchesReference(registry, queries, stream, "supply-chain");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +420,6 @@ class MergedEngineTest : public MergeSignatureTest {};
 
 TEST_F(MergedEngineTest, StatsReportCompression) {
   CepEngine engine(&registry_);
-  ASSERT_TRUE(engine.merge_enabled());
   for (int q = 0; q < 10; ++q) {
     ASSERT_TRUE(engine.AddQueryText(kBase, StrFormat("Q%d", q)).ok());
   }
@@ -416,8 +433,8 @@ TEST_F(MergedEngineTest, StatsReportCompression) {
 
 TEST_F(MergedEngineTest, MidStreamAddQueryIsIsolatedAndCorrect) {
   // A query added after events have flowed must not inherit the group's
-  // partial-match history, and must still agree with the legacy engine fed
-  // the same add-mid-stream sequence.
+  // partial-match history, and must still agree with the reference fed the
+  // same add-mid-stream sequence.
   std::vector<Event> first_half;
   std::vector<Event> second_half;
   Timestamp ts = 0;
@@ -429,26 +446,25 @@ TEST_F(MergedEngineTest, MidStreamAddQueryIsIsolatedAndCorrect) {
     dst.emplace_back(2, ++ts, MakeValues(job, std::string("r")));
   }
 
-  auto run = [&](bool merge) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    auto q0 = engine.AddQueryText(kBase, "Q0");
-    EXPECT_TRUE(q0.ok());
-    for (const Event& e : first_half) engine.OnEvent(e);
-    auto q1 = engine.AddQueryText(kBase, "Q1");  // mid-stream replica
-    EXPECT_TRUE(q1.ok());
-    for (const Event& e : second_half) engine.OnEvent(e);
-    std::vector<TableCopy> tables;
-    tables.push_back(TableCopy::From(engine.match_table(*q0)));
-    tables.push_back(TableCopy::From(engine.match_table(*q1)));
-    return tables;
-  };
+  ReferenceCep ref(&registry_);
+  ASSERT_TRUE(ref.AddQueryText(kBase, "Q0").ok());
+  for (const Event& e : first_half) ref.OnEvent(e);
+  ASSERT_TRUE(ref.AddQueryText(kBase, "Q1").ok());  // mid-stream replica
+  for (const Event& e : second_half) ref.OnEvent(e);
 
-  const auto legacy = run(false);
-  const auto merged = run(true);
-  ExpectTablesEqual(legacy[0], merged[0], "mid-stream Q0");
-  ExpectTablesEqual(legacy[1], merged[1], "mid-stream Q1");
+  CepEngine engine(&registry_);
+  auto q0 = engine.AddQueryText(kBase, "Q0");
+  ASSERT_TRUE(q0.ok());
+  for (const Event& e : first_half) engine.OnEvent(e);
+  auto q1 = engine.AddQueryText(kBase, "Q1");
+  ASSERT_TRUE(q1.ok());
+  for (const Event& e : second_half) engine.OnEvent(e);
+
+  std::vector<TableCopy> merged;
+  merged.push_back(TableCopy::From(engine.match_table(*q0)));
+  merged.push_back(TableCopy::From(engine.match_table(*q1)));
+  ExpectTablesEqual(TableCopy::From(ref.match_table(0)), merged[0], "mid-stream Q0");
+  ExpectTablesEqual(TableCopy::From(ref.match_table(1)), merged[1], "mid-stream Q1");
   // Q1 saw only the second half: strictly fewer rows than Q0.
   size_t q0_rows = 0;
   size_t q1_rows = 0;
@@ -456,59 +472,6 @@ TEST_F(MergedEngineTest, MidStreamAddQueryIsIsolatedAndCorrect) {
   for (const auto& r : merged[1].rows) q1_rows += r.size();
   EXPECT_LT(q1_rows, q0_rows);
   EXPECT_GT(q1_rows, 0u);
-}
-
-TEST_F(MergedEngineTest, ShrinkingShardPoolKeepsRoutingAllEvents) {
-  // Regression: the router's per-shard lists used to only grow, so after
-  // SetIngestThreads lowered the shard count, RouteGroupBatch kept spreading
-  // work over the stale larger list while only the first `shards` entries
-  // were ever drained — silently dropping every event hashed to an upper
-  // shard (including in the serial shards==1 path).
-  std::vector<Event> stream;
-  Timestamp ts = 0;
-  for (int i = 0; i < 64; ++i) {
-    const std::string job = StrFormat("j%d", i % 8);  // spread over shards
-    stream.emplace_back(0, ++ts, MakeValues(job, std::string("r")));
-    stream.emplace_back(1, ++ts, MakeValues(job, std::string("r"), 1.0 * i));
-    stream.emplace_back(2, ++ts, MakeValues(job, std::string("r")));
-  }
-  const std::vector<std::string> queries = {kBase, kBase};
-
-  auto make_engine = [&](size_t threads) {
-    CepEngineOptions options;
-    options.ingest_threads = threads;
-    auto engine = std::make_unique<CepEngine>(&registry_, options);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_TRUE(engine->AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
-    }
-    return engine;
-  };
-  auto ingest = [&](CepEngine* engine, size_t begin, size_t end) {
-    constexpr size_t kBatch = 32;
-    for (size_t i = begin; i < end; i += kBatch) {
-      const size_t stop = std::min(end, i + kBatch);
-      engine->IngestBatch(
-          EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                     stream.begin() + static_cast<ptrdiff_t>(stop)));
-    }
-  };
-
-  auto ref = make_engine(1);
-  ingest(ref.get(), 0, stream.size());
-
-  // Wide, then shrink to serial, then widen again mid-stream.
-  auto dut = make_engine(4);
-  ingest(dut.get(), 0, stream.size() / 3);
-  dut->SetIngestThreads(1);
-  ingest(dut.get(), stream.size() / 3, 2 * stream.size() / 3);
-  dut->SetIngestThreads(2);
-  ingest(dut.get(), 2 * stream.size() / 3, stream.size());
-
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ExpectTablesEqual(TableCopy::From(ref->match_table(static_cast<QueryId>(q))),
-                      TableCopy::From(dut->match_table(static_cast<QueryId>(q))),
-                      StrFormat("shrunk shards Q%zu", q));
-  }
 }
 
 TEST_F(MergedEngineTest, MidStreamAddQueryCheckpointRestores) {
@@ -534,67 +497,87 @@ TEST_F(MergedEngineTest, MidStreamAddQueryCheckpointRestores) {
   for (int i = 0; i < 12; ++i) triplet(&part3, StrFormat("j%d", i % 4), 2.5 * i);
   part3.emplace_back(2, ++ts, MakeValues(std::string("open"), std::string("r")));
 
-  auto capture = [](CepEngine* engine) {
+  // Tables of any evaluator (reference or engine), in query id order.
+  auto capture = [](const auto& evaluator) {
     std::vector<TableCopy> tables;
-    for (QueryId q = 0; q < engine->num_queries(); ++q) {
-      tables.push_back(TableCopy::From(engine->match_table(q)));
+    for (QueryId q = 0; q < evaluator.num_queries(); ++q) {
+      tables.push_back(TableCopy::From(evaluator.match_table(q)));
     }
     return tables;
   };
 
-  for (const bool save_merged : {false, true}) {
-    CepEngineOptions source_options;
-    source_options.enable_query_merge = save_merged;
-    CepEngine source(&registry_, source_options);
-    ASSERT_TRUE(source.AddQueryText(kBase, "Q0").ok());
-    for (const Event& e : part1) source.OnEvent(e);
-    ASSERT_TRUE(source.AddQueryText(kBase, "Q1").ok());  // mid-stream replica
-    for (const Event& e : part2) source.OnEvent(e);
-    BytesWriter snapshot;
-    source.SaveState(&snapshot);
-    for (const Event& e : part3) source.OnEvent(e);
-    const std::vector<TableCopy> want = capture(&source);
+  // Reference: snapshot after part2, then the observables of part3.
+  ReferenceCep ref(&registry_);
+  ASSERT_TRUE(ref.AddQueryText(kBase, "Q0").ok());
+  for (const Event& e : part1) ref.OnEvent(e);
+  ASSERT_TRUE(ref.AddQueryText(kBase, "Q1").ok());  // mid-stream replica
+  for (const Event& e : part2) ref.OnEvent(e);
+  BytesWriter ref_snapshot;
+  ref.SaveState(&ref_snapshot);
+  std::vector<NoteCopy> want_notes;
+  ref.SetMatchCallback([&want_notes](const MatchNotification& n) {
+    want_notes.push_back(NoteCopy::From(n));
+  });
+  for (const Event& e : part3) ref.OnEvent(e);
+  const std::vector<TableCopy> want = capture(ref);
+  ASSERT_FALSE(want_notes.empty());
 
-    for (const bool restore_merged : {false, true}) {
-      const std::string label = StrFormat("save_merged=%d restore_merged=%d",
-                                          save_merged, restore_merged);
-      CepEngineOptions options;
-      options.enable_query_merge = restore_merged;
-      // Recovery shape: both queries re-added before any event, so without
-      // the persisted flags Q1 would merge into Q0's group.
-      CepEngine restored(&registry_, options);
-      ASSERT_TRUE(restored.AddQueryText(kBase, "Q0").ok());
-      ASSERT_TRUE(restored.AddQueryText(kBase, "Q1").ok());
-      BytesReader reader(snapshot.str());
-      const Status st = restored.RestoreState(&reader);
-      ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+  // Check 1: the engine, fed the same sequence, writes the same bytes.
+  CepEngine source(&registry_);
+  ASSERT_TRUE(source.AddQueryText(kBase, "Q0").ok());
+  for (const Event& e : part1) source.OnEvent(e);
+  ASSERT_TRUE(source.AddQueryText(kBase, "Q1").ok());
+  for (const Event& e : part2) source.OnEvent(e);
+  BytesWriter snapshot;
+  source.SaveState(&snapshot);
+  EXPECT_TRUE(snapshot.str() == ref_snapshot.str())
+      << "engine snapshot bytes differ from the reference's";
 
-      // The flags must survive a re-checkpoint of the restored engine too.
-      BytesWriter resnapshot;
-      restored.SaveState(&resnapshot);
-      CepEngine second(&registry_, options);
-      ASSERT_TRUE(second.AddQueryText(kBase, "Q0").ok());
-      ASSERT_TRUE(second.AddQueryText(kBase, "Q1").ok());
-      BytesReader rereader(resnapshot.str());
-      const Status st2 = second.RestoreState(&rereader);
-      ASSERT_TRUE(st2.ok()) << label << " (re-checkpoint): " << st2.ToString();
+  // Check 2: the reference's snapshot restores into an engine in recovery
+  // shape — both queries re-added before any event, so without the
+  // persisted flags Q1 would merge into Q0's group.
+  CepEngine restored(&registry_);
+  ASSERT_TRUE(restored.AddQueryText(kBase, "Q0").ok());
+  ASSERT_TRUE(restored.AddQueryText(kBase, "Q1").ok());
+  BytesReader reader(ref_snapshot.str());
+  const Status st = restored.RestoreState(&reader);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
-      for (CepEngine* engine : {&restored, &second}) {
-        for (const Event& e : part3) engine->OnEvent(e);
-        const std::vector<TableCopy> got = capture(engine);
-        ASSERT_EQ(got.size(), want.size()) << label;
-        for (size_t q = 0; q < want.size(); ++q) {
-          ExpectTablesEqual(want[q], got[q],
-                            StrFormat("%s Q%zu", label.c_str(), q));
-        }
-      }
+  // The flags must survive a re-checkpoint of the restored engine too.
+  BytesWriter resnapshot;
+  restored.SaveState(&resnapshot);
+  EXPECT_TRUE(resnapshot.str() == ref_snapshot.str())
+      << "re-checkpoint of the restored engine changed the bytes";
+  CepEngine second(&registry_);
+  ASSERT_TRUE(second.AddQueryText(kBase, "Q0").ok());
+  ASSERT_TRUE(second.AddQueryText(kBase, "Q1").ok());
+  BytesReader rereader(resnapshot.str());
+  const Status st2 = second.RestoreState(&rereader);
+  ASSERT_TRUE(st2.ok()) << "re-checkpoint: " << st2.ToString();
+
+  for (CepEngine* engine : {&restored, &second}) {
+    const std::string label = engine == &restored ? "restored" : "re-restored";
+    std::vector<NoteCopy> notes;
+    engine->SetMatchCallback([&notes](const MatchNotification& n) {
+      notes.push_back(NoteCopy::From(n));
+    });
+    for (const Event& e : part3) engine->OnEvent(e);
+    const std::vector<TableCopy> got = capture(*engine);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t q = 0; q < want.size(); ++q) {
+      ExpectTablesEqual(want[q], got[q], StrFormat("%s Q%zu", label.c_str(), q));
+    }
+    ASSERT_EQ(notes.size(), want_notes.size()) << label;
+    for (size_t i = 0; i < notes.size(); ++i) {
+      ASSERT_TRUE(notes[i] == want_notes[i]) << label << " note #" << i;
     }
   }
 }
 
-TEST_F(MergedEngineTest, CheckpointRoundTripsAcrossModes) {
-  // A snapshot taken by a merged engine must restore into an unmerged engine
-  // and vice versa, mid-pattern state included.
+TEST_F(MergedEngineTest, CheckpointMatchesReferenceAndRestores) {
+  // Mid-pattern state included: the engine's snapshot bytes must equal the
+  // reference's, and a reference snapshot (the per-query format) must
+  // restore into the engine and continue bit-identically.
   std::vector<Event> first_half;
   std::vector<Event> second_half;
   Timestamp ts = 0;
@@ -613,45 +596,50 @@ TEST_F(MergedEngineTest, CheckpointRoundTripsAcrossModes) {
       "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
       "RETURN (b[i].timestamp, a.job, count(b[1..i].size))"};
 
-  auto make_engine = [&](bool merge) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    auto engine = std::make_unique<CepEngine>(&registry_, options);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_TRUE(engine->AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
-    }
-    return engine;
-  };
-  auto finish = [&](CepEngine* engine) {
-    std::vector<TableCopy> tables;
-    for (const Event& e : second_half) engine->OnEvent(e);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      tables.push_back(
-          TableCopy::From(engine->match_table(static_cast<QueryId>(q))));
-    }
-    return tables;
-  };
+  ReferenceCep ref(&registry_);
+  CepEngine engine(&registry_);
+  CepEngine restored(&registry_);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(ref.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+    ASSERT_TRUE(engine.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+    ASSERT_TRUE(restored.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+  }
+  for (const Event& e : first_half) {
+    ref.OnEvent(e);
+    engine.OnEvent(e);
+  }
+  BytesWriter ref_snapshot;
+  ref.SaveState(&ref_snapshot);
+  BytesWriter snapshot;
+  engine.SaveState(&snapshot);
+  EXPECT_TRUE(snapshot.str() == ref_snapshot.str())
+      << "engine snapshot bytes differ from the reference's";
 
-  for (const bool save_merged : {false, true}) {
-    for (const bool restore_merged : {false, true}) {
-      const std::string label = StrFormat("save_merged=%d restore_merged=%d",
-                                          save_merged, restore_merged);
-      auto source = make_engine(save_merged);
-      for (const Event& e : first_half) source->OnEvent(e);
-      BytesWriter snapshot;
-      source->SaveState(&snapshot);
-      const std::vector<TableCopy> want = finish(source.get());
+  BytesReader reader(ref_snapshot.str());
+  const Status st = restored.RestoreState(&reader);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
-      auto restored = make_engine(restore_merged);
-      BytesReader reader(snapshot.str());
-      const Status st = restored->RestoreState(&reader);
-      ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-      const std::vector<TableCopy> got = finish(restored.get());
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ExpectTablesEqual(want[q], got[q],
-                          StrFormat("%s Q%zu", label.c_str(), q));
-      }
-    }
+  std::vector<NoteCopy> want_notes;
+  std::vector<NoteCopy> notes;
+  ref.SetMatchCallback([&want_notes](const MatchNotification& n) {
+    want_notes.push_back(NoteCopy::From(n));
+  });
+  restored.SetMatchCallback([&notes](const MatchNotification& n) {
+    notes.push_back(NoteCopy::From(n));
+  });
+  for (const Event& e : second_half) {
+    ref.OnEvent(e);
+    restored.OnEvent(e);
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ExpectTablesEqual(TableCopy::From(ref.match_table(static_cast<QueryId>(q))),
+                      TableCopy::From(restored.match_table(static_cast<QueryId>(q))),
+                      StrFormat("restored Q%zu", q));
+  }
+  ASSERT_FALSE(want_notes.empty());
+  ASSERT_EQ(notes.size(), want_notes.size());
+  for (size_t i = 0; i < notes.size(); ++i) {
+    ASSERT_TRUE(notes[i] == want_notes[i]) << "note #" << i;
   }
 }
 

@@ -1,7 +1,7 @@
 // Stress test of the continuous-serving layer (meant for TSan).
 //
 // One system runs everything the serving PR added, all at once:
-//  * sharded batched ingestion feeding the incremental feature tails,
+//  * batched ingestion feeding the incremental feature tails,
 //  * the streaming detector observing match notifications and auto-triggering
 //    Explains on its background worker,
 //  * interactive threads hammering the cached Explain path with repeated and
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +30,7 @@ constexpr char kQ1[] =
     "PATTERN SEQ(JobStart a, DataIO+ b[], JobEnd c) WHERE [jobId] "
     "RETURN (b[i].timestamp, a.jobId, sum(b[1..i].dataSize))";
 
-TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest) {
+TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringBatchedIngest) {
   EventTypeRegistry registry;
   ASSERT_TRUE(HadoopClusterSim::RegisterEventTypes(&registry).ok());
 
@@ -37,7 +38,6 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest)
   config.explain.feature_space.windows = {10};
   config.explain.num_threads = 2;
   config.explain.enable_validation = false;  // partitions index mid-stream
-  config.ingest.ingest_threads = 4;
   config.serving.incremental_features = true;
   config.serving.incremental_retention = 400;  // force eviction + backfill
   config.serving.explain_cache_capacity = 16;
@@ -53,8 +53,7 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest)
   ASSERT_TRUE(qid.ok()) << qid.status().ToString();
   ASSERT_NE(system.detector(), nullptr);
 
-  // Simulate the anomalous run into a buffer so ingest can be batched
-  // through the sharded pipeline.
+  // Simulate the anomalous run into a buffer so ingest can be batched.
   HadoopSimConfig sim_config;
   sim_config.num_nodes = 3;
   sim_config.seed = 77;
@@ -104,12 +103,29 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest)
     }
   });
 
+  // An interactive explain can succeed only once the stream has passed the
+  // reference interval. Hold ingest at that point until one has (bounded),
+  // so that the check below does not depend on how the scheduler
+  // interleaves the explainers with the ingest thread: pinned to one CPU,
+  // ingest can otherwise finish before any explainer runs on a filled table.
+  auto wait_for_interactive = [&] {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (interactive_ok.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  bool waited = false;
   constexpr size_t kBatch = 128;
   for (size_t i = 0; i < stream.size(); i += kBatch) {
     const size_t end = std::min(stream.size(), i + kBatch);
     system.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
                                    stream.begin() + static_cast<ptrdiff_t>(end)));
+    if (!waited && stream[end - 1].ts > annotation.reference.range.upper) {
+      wait_for_interactive();
+      waited = true;
+    }
   }
+  if (!waited) wait_for_interactive();
   system.Flush();
   system.DrainAutoExplains();
   done.store(true, std::memory_order_release);

@@ -1,25 +1,24 @@
-// Stress test of the contention-free shard pipelines (meant for TSan).
-//
-// The merged engine hands WorkBlocks to long-lived shard workers over SPSC
-// queues; MatchTables take striped per-bucket locks so readers (an
-// explanation analysis walking match rows, a checkpoint serializing tables)
-// can run while shard appenders write. This test drives all of it at once:
-//  * batched ingestion through the shard pipelines,
+// Concurrency stress of CEP ingestion (meant for TSan). The engine ingests
+// on one thread; MatchTable readers and checkpoints run alongside it and
+// take the table's mutex. This test drives all of it at once:
+//  * batched ingestion of several queries,
 //  * concurrent MatchTable readers (the Explain access pattern),
 //  * checkpoints taken at batch boundaries mid-stream,
-//  * a system-level run with a real ExplainAsync in flight,
-// and then proves the SPSC handoff neither dropped nor duplicated work: the
-// notification stream and final tables are compared against the legacy
-// serial engine's, element by element.
+//  * a system-level run with a checkpoint and a real ExplainAsync in flight,
+// and checks that nothing was lost or duplicated: the notification stream
+// and final tables are compared against the per-query reference evaluator,
+// element by element, and every checkpoint restores.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cep/engine.h"
+#include "cep_reference.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "sim/hadoop_sim.h"
@@ -28,13 +27,7 @@
 namespace exstream {
 namespace {
 
-constexpr char kQuery[] =
-    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
-    "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
-constexpr char kVariant[] =
-    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
-    "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
-
+// A deep copy of one MatchNotification, safe to compare after the fact.
 struct NoteCopy {
   QueryId query;
   uint32_t partition_id;
@@ -73,7 +66,7 @@ class ShardPipelineStressTest : public ::testing::Test {
     Rng rng(seed);
     std::vector<Event> events;
     Timestamp ts = 0;
-    std::vector<int> phase(static_cast<size_t>(num_jobs), 0);
+    std::vector<int> phase(static_cast<size_t>(num_jobs), 0);  // 0 idle, 1 running
     for (int i = 0; i < num_events; ++i) {
       ts += rng.UniformInt(1, 3);
       const int j = static_cast<int>(rng.UniformInt(0, num_jobs - 1));
@@ -81,13 +74,14 @@ class ShardPipelineStressTest : public ::testing::Test {
       auto& p = phase[static_cast<size_t>(j)];
       const int64_t kind = rng.UniformInt(0, 5);
       if (p == 0 && kind == 0) {
-        events.emplace_back(0, ts, MakeValues(job));
+        events.emplace_back(0, ts, std::vector<Value>{Value(job)});
         p = 1;
       } else if (p == 1 && kind == 5) {
-        events.emplace_back(2, ts, MakeValues(job));
+        events.emplace_back(2, ts, std::vector<Value>{Value(job)});
         p = 0;
       } else {
-        events.emplace_back(1, ts, MakeValues(job, rng.Gaussian(5, 2)));
+        events.emplace_back(
+            1, ts, std::vector<Value>{Value(job), Value(rng.Gaussian(5, 2))});
       }
     }
     return events;
@@ -96,22 +90,26 @@ class ShardPipelineStressTest : public ::testing::Test {
   EventTypeRegistry registry_;
 };
 
-TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
+constexpr char kQuery[] =
+    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
+    "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
+
+TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
+  constexpr char kVariant[] =
+      "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
+      "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
   const auto stream = RandomStream(13, 24, 30000);
   const int kNumQueries = 12;
+  auto query_text = [&](int q) { return q % 3 == 2 ? kVariant : kQuery; };
 
-  // Legacy serial reference: the notification stream and tables every
-  // pipelined configuration must reproduce exactly.
+  // Per-query reference: the notification stream and tables the engine must
+  // reproduce exactly while readers and checkpoints run alongside.
   std::vector<NoteCopy> ref_notes;
   std::vector<size_t> ref_rows;
   {
-    CepEngineOptions options;
-    options.enable_query_merge = false;
-    CepEngine ref(&registry_, options);
+    ReferenceCep ref(&registry_);
     for (int q = 0; q < kNumQueries; ++q) {
-      ASSERT_TRUE(
-          ref.AddQueryText(q % 3 == 2 ? kVariant : kQuery, StrFormat("Q%d", q))
-              .ok());
+      ASSERT_TRUE(ref.AddQueryText(query_text(q), StrFormat("Q%d", q)).ok());
     }
     ref.SetMatchCallback([&ref_notes](const MatchNotification& n) {
       ref_notes.push_back(NoteCopy::From(n));
@@ -123,13 +121,9 @@ TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
   }
   ASSERT_FALSE(ref_notes.empty());
 
-  CepEngineOptions options;
-  options.ingest_threads = 4;
-  CepEngine engine(&registry_, options);
+  CepEngine engine(&registry_);
   for (int q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(
-        engine.AddQueryText(q % 3 == 2 ? kVariant : kQuery, StrFormat("Q%d", q))
-            .ok());
+    ASSERT_TRUE(engine.AddQueryText(query_text(q), StrFormat("Q%d", q)).ok());
   }
   std::vector<NoteCopy> notes;
   engine.SetMatchCallback([&notes](const MatchNotification& n) {
@@ -137,25 +131,33 @@ TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
   });
 
   // Readers hammer the MatchTables with the Explain access pattern
-  // (Partitions -> Rows -> IsComplete) while shard appenders write.
+  // (Partitions -> Rows -> IsComplete) while the ingest thread appends.
   std::atomic<bool> done{false};
   std::atomic<size_t> rows_seen{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&engine, &done, &rows_seen, r] {
-      size_t local = 0;
       while (!done.load(std::memory_order_acquire)) {
         const QueryId q = static_cast<QueryId>(r == 0 ? 0 : 2);
         const MatchTable& table = engine.match_table(q);
+        size_t rows = 0;
         for (const std::string& partition : table.Partitions()) {
-          local += table.Rows(partition).size();
+          rows += table.Rows(partition).size();
           (void)table.IsComplete(partition);
         }
         (void)table.TotalRows();
+        rows_seen.fetch_add(rows);
       }
-      rows_seen.fetch_add(local, std::memory_order_relaxed);
     });
   }
+  // Holds ingest (bounded) until the readers have seen rows, so that they
+  // read mid-stream however the scheduler interleaves the threads.
+  auto wait_for_readers = [&rows_seen] {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (rows_seen.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
 
   // Ingest in batches; snapshot the engine at a few batch boundaries (the
   // quiescent points a system checkpoint uses) while the readers keep going.
@@ -171,13 +173,14 @@ TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
       engine.SaveState(&w);
       snapshots.push_back(w.Take());
     }
+    if (batch_index == 5) wait_for_readers();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(rows_seen.load(), 0u);
   EXPECT_GE(snapshots.size(), 2u);
 
-  // No lost, duplicated, or reordered notifications across the SPSC handoff.
+  // No lost, duplicated, or reordered notifications.
   ASSERT_EQ(notes.size(), ref_notes.size());
   for (size_t i = 0; i < notes.size(); ++i) {
     ASSERT_TRUE(notes[i] == ref_notes[i]) << "note #" << i;
@@ -188,16 +191,11 @@ TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
         << "Q" << q;
   }
 
-  // Every mid-stream snapshot must restore into a fresh merged engine.
+  // Every mid-stream snapshot must restore into a fresh engine.
   for (size_t s = 0; s < snapshots.size(); ++s) {
-    CepEngineOptions ropts;
-    ropts.ingest_threads = 4;
-    CepEngine restored(&registry_, ropts);
+    CepEngine restored(&registry_);
     for (int q = 0; q < kNumQueries; ++q) {
-      ASSERT_TRUE(restored
-                      .AddQueryText(q % 3 == 2 ? kVariant : kQuery,
-                                    StrFormat("Q%d", q))
-                      .ok());
+      ASSERT_TRUE(restored.AddQueryText(query_text(q), StrFormat("Q%d", q)).ok());
     }
     BytesReader reader(snapshots[s]);
     const Status st = restored.RestoreState(&reader);
@@ -205,16 +203,16 @@ TEST_F(ShardPipelineStressTest, ReadersAndCheckpointsDuringShardedIngest) {
   }
 }
 
-TEST_F(ShardPipelineStressTest, SystemCheckpointAndExplainDuringShardedIngest) {
-  // System-level: sharded batched ingestion, an explanation analysis in
-  // flight, and a full checkpoint — all against one engine.
+TEST_F(ShardPipelineStressTest, SystemCheckpointAndExplainDuringBatchedIngest) {
+  // End-to-end race test: batched ingestion keeps feeding the system while
+  // an explanation analysis scans the archive, and a full checkpoint is
+  // taken mid-stream — all against one engine.
   EventTypeRegistry registry;
   ASSERT_TRUE(HadoopClusterSim::RegisterEventTypes(&registry).ok());
 
   XStreamConfig config;
   config.explain.feature_space.windows = {10};
   config.explain.num_threads = 2;
-  config.ingest.ingest_threads = 4;
   XStreamSystem system(&registry, config);
 
   constexpr char kQ1[] =
@@ -241,7 +239,7 @@ TEST_F(ShardPipelineStressTest, SystemCheckpointAndExplainDuringShardedIngest) {
   anomaly.start = 60;
   anomaly.end = 300;
   sim.AddAnomaly(anomaly);
-  ASSERT_TRUE(sim.Run(&system).ok());
+  ASSERT_TRUE(sim.Run(&system).ok());  // ReplayMove: batched ingest
   ASSERT_GT(system.engine().match_table(ids[0]).NumRows("job-x"), 50u);
   ASSERT_TRUE(system.IndexPartitions(ids[0], {{"program", "p"}}).ok());
 
@@ -250,16 +248,18 @@ TEST_F(ShardPipelineStressTest, SystemCheckpointAndExplainDuringShardedIngest) {
   annotation.reference = {"Q0", {360, 600}, "job-x"};
   auto future = system.ExplainAsync(annotation, ids[0], "sum_dataSize");
 
+  // Keep the monitoring side hot while the analysis runs: batches of fresh
+  // metric events (ts past the simulated horizon, so archive order holds).
   const EventTypeId cpu = *registry.IdOf("CpuUsage");
   const EventTypeId mem = *registry.IdOf("MemUsage");
-  const std::string dir =
-      ::testing::TempDir() + "/shard_pipeline_stress_ckpt";
+  const std::string dir = ::testing::TempDir() + "/shard_pipeline_stress_ckpt";
   Timestamp ts = 1000000;
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < 40; ++round) {
     EventBatch batch;
     batch.reserve(100);
     for (int i = 0; i < 50; ++i) {
-      batch.emplace_back(cpu, ++ts,
+      ++ts;
+      batch.emplace_back(cpu, ts,
                          MakeValues(int64_t{i % 3}, 50.0, 50.0, 1.0,
                                     static_cast<double>(ts)));
       batch.emplace_back(mem, ++ts,
@@ -278,6 +278,8 @@ TEST_F(ShardPipelineStressTest, SystemCheckpointAndExplainDuringShardedIngest) {
   auto report = future.get();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->final_features.empty());
+  EXPECT_FALSE(system.explanation_active());
+  // All 8 replicas saw the identical stream.
   for (const QueryId id : ids) {
     EXPECT_EQ(system.engine().match_table(id).TotalRows(),
               system.engine().match_table(ids[0]).TotalRows());
