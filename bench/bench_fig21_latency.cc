@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <future>
 #include <thread>
 
@@ -159,21 +158,10 @@ double TimeRewards(const FeatureBuilder& builder, const std::vector<FeatureSpec>
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int reps = 5;
-  std::string out_path = "BENCH_explain.json";
-  for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<int>(strtoull(argv[++i], nullptr, 10));
-    } else {
-      fprintf(stderr, "usage: bench_fig21_latency [--smoke] [--out PATH] [--reps N]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args =
+      ParseBenchArgs(argc, argv, "bench_fig21_latency", "BENCH_explain.json");
+  const bool smoke = args.smoke;
+  int reps = args.reps != 0 ? static_cast<int>(args.reps) : 5;
   if (smoke) {
     g_num_queries = 200;
     reps = std::min(reps, 2);
@@ -272,8 +260,8 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.MemoryObject(SampleMemoryStats());
   json.EndObject();
-  if (json.WriteFile(out_path)) {
-    fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
+  if (json.WriteFile(args.out_path)) {
+    fprintf(stderr, "[bench] wrote %s\n", args.out_path.c_str());
   }
 
   printf("\nExplanations return in seconds and delay only a small set of\n"

@@ -6,9 +6,9 @@
 // not cost the child more than a modest fraction of its ingest throughput.
 // The within-run ratio (replicated ev/s divided by standalone ev/s) is the
 // gated quantity: both sides of the ratio run on the same host seconds
-// apart, so hardware speed cancels out and
-// scripts/check_replication_overhead.py can enforce a floor on any machine
-// (absolute ev/s are reported for context only, never gated).
+// apart, so hardware speed cancels out and scripts/check_bench.py can
+// enforce a floor on any machine (absolute ev/s are reported for context
+// only, never gated).
 //
 // Each run also cross-checks correctness: the parent must end with every
 // child event applied (watermark == stream size, zero gaps) — a throughput
@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -267,22 +266,10 @@ FanInMeasurement RunFanIn(const EventTypeRegistry& registry,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  size_t reps = 0;
-  std::string out_path = "BENCH_replication.json";
-  for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = strtoull(argv[++i], nullptr, 10);
-    } else {
-      fprintf(stderr, "usage: bench_replication [--smoke] [--out PATH] [--reps N]\n");
-      return 2;
-    }
-  }
-  if (reps == 0) reps = smoke ? 2 : 5;
+  const bench::BenchArgs args = bench::ParseBenchArgs(
+      argc, argv, "bench_replication", "BENCH_replication.json");
+  const bool smoke = args.smoke;
+  const size_t reps = args.reps != 0 ? args.reps : smoke ? 2 : 5;
 
   EventTypeRegistry registry;
   CheckOk(HadoopClusterSim::RegisterEventTypes(&registry), "RegisterEventTypes");
@@ -381,7 +368,7 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.MemoryObject(bench::SampleMemoryStats());
   json.EndObject();
-  if (!json.WriteFile(out_path)) return 1;
-  fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
+  if (!json.WriteFile(args.out_path)) return 1;
+  fprintf(stderr, "[bench] wrote %s\n", args.out_path.c_str());
   return 0;
 }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,45 @@
 #include "xstream/evaluation.h"
 
 namespace exstream::bench {
+
+/// The command line the JSON benches share:
+///   NAME [--smoke] [--out PATH] [--reps N] [DIR_FLAG DIR]
+struct BenchArgs {
+  bool smoke = false;
+  std::string out_path;
+  size_t reps = 0;  ///< 0 = the bench's own default
+  std::string dir;  ///< value of the bench's DIR_FLAG, if it has one
+};
+
+/// Parses the shared bench command line. `dir_flag` (e.g. "--spill-dir") is
+/// the one bench-specific flag, taking a directory. Anything else prints the
+/// usage line and exits 2.
+inline BenchArgs ParseBenchArgs(int argc, char** argv, const char* name,
+                                std::string out_default,
+                                const char* dir_flag = nullptr,
+                                std::string dir_default = "") {
+  BenchArgs args;
+  args.out_path = std::move(out_default);
+  args.dir = std::move(dir_default);
+  for (int i = 1; i < argc; ++i) {
+    const bool has_value = i + 1 < argc;
+    if (strcmp(argv[i], "--smoke") == 0) {
+      args.smoke = true;
+    } else if (strcmp(argv[i], "--out") == 0 && has_value) {
+      args.out_path = argv[++i];
+    } else if (strcmp(argv[i], "--reps") == 0 && has_value) {
+      args.reps = strtoull(argv[++i], nullptr, 10);
+    } else if (dir_flag != nullptr && strcmp(argv[i], dir_flag) == 0 && has_value) {
+      args.dir = argv[++i];
+    } else {
+      fprintf(stderr, "usage: %s [--smoke] [--out PATH] [--reps N]", name);
+      if (dir_flag != nullptr) fprintf(stderr, " [%s DIR]", dir_flag);
+      fprintf(stderr, "\n");
+      exit(2);
+    }
+  }
+  return args;
+}
 
 /// Aborts the bench with a message when a Result/Status is not OK.
 inline void CheckOk(const Status& status, const char* what) {

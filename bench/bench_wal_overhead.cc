@@ -11,11 +11,11 @@
 // blocks on the disk. The interesting number is how much of the no-WAL
 // throughput survives; the log's cost is fixed per byte, so the relative
 // overhead shrinks as per-event engine work grows — the per-tier table shows
-// that directly. Emits BENCH_wal_overhead.json. --smoke runs a seconds-scale
-// subset for CI. Acceptance gate: fsync=interval must retain >= 0.85x the
-// no-WAL events/sec on the 1000-query tier — the same workload
-// bench_ingest_throughput gates on (checked by the full run; reported either
-// way — every_batch pays a real fsync per append and is exempt).
+// that directly. Emits BENCH_wal_overhead.json; on full runs
+// scripts/check_bench.py gates the fsync=interval / no-WAL events/sec ratio
+// on the 1000-query tier, the same workload bench_ingest_throughput gates on
+// (every_batch pays a real fsync per append and is not gated). --smoke runs a
+// seconds-scale subset for CI.
 //
 // Each configuration is measured --reps times and the best (fastest) rep is
 // reported (minimum-time estimator; see bench_ingest_throughput).
@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,23 +127,10 @@ Measurement Run(const EventTypeRegistry& registry,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  size_t reps = 0;  // 0 = default per mode (full: 5, smoke: 1)
-  std::string out_path = "BENCH_wal_overhead.json";
-  for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = strtoull(argv[++i], nullptr, 10);
-    } else {
-      fprintf(stderr,
-              "usage: bench_wal_overhead [--smoke] [--out PATH] [--reps N]\n");
-      return 2;
-    }
-  }
-  if (reps == 0) reps = smoke ? 1 : 5;
+  const bench::BenchArgs args = bench::ParseBenchArgs(
+      argc, argv, "bench_wal_overhead", "BENCH_wal_overhead.json");
+  const bool smoke = args.smoke;
+  const size_t reps = args.reps != 0 ? args.reps : smoke ? 1 : 5;
 
   EventTypeRegistry registry;
   CheckOk(HadoopClusterSim::RegisterEventTypes(&registry), "RegisterEventTypes");
@@ -197,7 +183,7 @@ int main(int argc, char** argv) {
   }
   WipeDir(wal_dir);
 
-  double gate_ratio = 0;  // fsync=interval vs no-WAL, last (gate) tier
+  double gate_ratio = 0;  // fsync=interval vs no-WAL, last (gated) tier
   for (const TierResult& tier : tier_results) {
     const double base_eps = tier.results.front().events_per_sec;
     printf("\nWAL overhead (events/sec), %zu events/batch, %d queries\n",
@@ -215,10 +201,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  printf("\nacceptance: fsync=interval = %.2fx no-WAL baseline at %d queries %s\n",
-         gate_ratio, tier_results.back().num_queries,
-         smoke ? "(smoke run; gate applies to the full run)"
-               : (gate_ratio >= 0.85 ? "(PASS, >= 0.85x)" : "(FAIL, < 0.85x)"));
+  printf("\nfsync=interval = %.2fx no-WAL baseline at %d queries\n", gate_ratio,
+         tier_results.back().num_queries);
 
   JsonWriter json;
   json.BeginObject();
@@ -271,9 +255,7 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.MemoryObject(bench::SampleMemoryStats());
   json.EndObject();
-  if (!json.WriteFile(out_path)) return 1;
-  fprintf(stderr, "[bench] wrote %s\n", out_path.c_str());
-
-  if (!smoke && gate_ratio < 0.85) return 1;
+  if (!json.WriteFile(args.out_path)) return 1;
+  fprintf(stderr, "[bench] wrote %s\n", args.out_path.c_str());
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -90,7 +91,9 @@ class Parser {
   }
 
  private:
-  const Token& Cur() const { return tokens_[pos_]; }
+  // Past the end, keeps answering with the final kEnd token: the checks
+  // after Expect(kEnd) still report an offset.
+  const Token& Cur() const { return tokens_[std::min(pos_, tokens_.size() - 1)]; }
 
   bool Accept(TokenKind kind) {
     if (Cur().kind != kind) return false;
