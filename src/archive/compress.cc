@@ -308,7 +308,7 @@ Status DecodeDoubles(ByteReader* r, size_t n, std::vector<double>* out) {
                       payload.size(), n, n * sizeof(double)));
       }
       out->resize(n);
-      std::memcpy(out->data(), payload.data(), payload.size());
+      if (n != 0) std::memcpy(out->data(), payload.data(), payload.size());
       return Status::OK();
     }
     case kDoublesXor: {

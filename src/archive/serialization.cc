@@ -89,7 +89,8 @@ class Reader {
     static_assert(std::is_trivially_copyable_v<T>);
     EXSTREAM_ASSIGN_OR_RETURN(const std::string_view bytes, GetView(n * sizeof(T)));
     out->resize(n);
-    std::memcpy(out->data(), bytes.data(), bytes.size());
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (n != 0) std::memcpy(out->data(), bytes.data(), bytes.size());
     return Status::OK();
   }
 
@@ -538,7 +539,9 @@ Result<ChunkColumns> ParseColumnarBuffer(std::string_view data) {
                     rows, static_cast<size_t>(rows) * sizeof(int64_t)));
     }
     columns.mutable_ts()->resize(rows);
-    std::memcpy(columns.mutable_ts()->data(), ts_block.data(), ts_block.size());
+    if (rows != 0) {
+      std::memcpy(columns.mutable_ts()->data(), ts_block.data(), ts_block.size());
+    }
   }
 
   columns.mutable_attrs()->reserve(ncols);

@@ -6,6 +6,56 @@
 
 namespace exstream {
 
+namespace {
+
+/// \brief The predicate `attr = constant` on the first positive component,
+/// where attr is that component's partition attribute; null if there is
+/// none. A fresh run must match that component first, so under any key the
+/// pin rules out the run never leaves its initial state. A pin on a later
+/// component does not qualify: runs of other keys start before it.
+const CompiledPredicate* PinOf(const CompiledQuery& cq) {
+  for (const CompiledComponent& comp : cq.components()) {
+    if (comp.negated) continue;
+    if (!comp.partition_attr.has_value()) return nullptr;
+    for (const CompiledPredicate& pred : comp.predicates) {
+      if (pred.op == CompareOp::kEq && pred.rhs_constant.has_value() &&
+          !pred.lhs.is_timestamp && pred.lhs.attr_index == *comp.partition_attr) {
+        return &pred;
+      }
+    }
+    return nullptr;
+  }
+  return nullptr;
+}
+
+/// \brief True if `pin` fails for every value whose Value::ToString is
+/// `key`, judged from one such value. Only two witnesses decide:
+///  - an int64 against a numeric constant whose own text is not the key:
+///    the other values printing as the key are doubles, and a double equal
+///    to the constant prints as the constant does (a double constant such
+///    as 5.0000001 prints as "5", so it keeps key "5" live);
+///  - a string against a string constant: numerics never equal a string.
+/// Any other witness (a double, whose %g text loses precision; a string
+/// against a numeric constant, since int64 5 prints as "5") keeps the key
+/// live. The predicate is evaluated on the witness itself, so an int64
+/// above 2^53 that equals the constant as a double stays live too.
+bool PinRulesOut(const CompiledPredicate& pin, const Value& witness,
+                 std::string_view key) {
+  const Value& c = *pin.rhs_constant;
+  const bool decidable =
+      (witness.type() == ValueType::kInt64 && c.is_numeric() && c.ToString() != key) ||
+      (witness.is_string() && c.is_string());
+  return decidable && *witness.Compare(c) != 0;
+}
+
+}  // namespace
+
+CepEngine::CepEngine(const EventTypeRegistry* registry, CepEngineOptions)
+    : registry_(registry) {
+  SpaceFor("");
+  spaces_[0].keys.Intern({}, PartitionKeyHash({}));
+}
+
 Result<QueryId> CepEngine::AddQuery(const Query& query) {
   EXSTREAM_ASSIGN_OR_RETURN(CompiledQuery cq, CompiledQuery::Compile(query, registry_));
   const QueryId id = static_cast<QueryId>(queries_.size());
@@ -15,15 +65,15 @@ Result<QueryId> CepEngine::AddQuery(const Query& query) {
   // bitmap check plus the per-component partition-attribute scan.
   QueryState& qs = *queries_.back();
   qs.route.assign(registry_->size(), kRouteIrrelevant);
-  const bool partitioned = !qs.compiled.query().partition_attribute.empty();
+  const std::string& attr = qs.compiled.query().partition_attribute;
+  const uint32_t space = SpaceFor(attr);
   for (const CompiledComponent& comp : qs.compiled.components()) {
     if (comp.type >= qs.route.size()) continue;
-    if (!partitioned) {
+    if (attr.empty()) {
       qs.route[comp.type] = kRouteEmptyKey;
     } else if (comp.partition_attr.has_value()) {
-      qs.route[comp.type] =
-          static_cast<uint16_t>(kRouteSpecBase + SpecIndexFor(comp.type,
-                                                              *comp.partition_attr));
+      qs.route[comp.type] = static_cast<uint16_t>(
+          kRouteSpecBase + SpecIndexFor(comp.type, *comp.partition_attr, space));
     }
     // A relevant type without a partition attribute stays unroutable, which
     // skips an event whose type matches but which carries no key.
@@ -31,14 +81,18 @@ Result<QueryId> CepEngine::AddQuery(const Query& query) {
 
   // Assign the query to its route class (creating one if this route table is
   // new). AddQuery is rare and #classes is small, so linear search is fine.
-  qs.route_class = static_cast<uint32_t>(route_classes_.size());
-  for (size_t c = 0; c < route_classes_.size(); ++c) {
-    if (route_classes_[c] == qs.route) {
+  qs.route_class = static_cast<uint32_t>(classes_.size());
+  for (size_t c = 0; c < classes_.size(); ++c) {
+    if (classes_[c].route == qs.route) {
       qs.route_class = static_cast<uint32_t>(c);
       break;
     }
   }
-  if (qs.route_class == route_classes_.size()) route_classes_.push_back(qs.route);
+  if (qs.route_class == classes_.size()) {
+    classes_.emplace_back();
+    classes_.back().route = qs.route;
+    classes_.back().space = space;
+  }
   route_index_dirty_ = true;
 
   // Merge-plan assignment. A query added after ingestion started must not
@@ -59,6 +113,9 @@ void CepEngine::AssignMergePlan(QueryId id, bool force_singleton) {
     g->nfa = std::make_unique<SharedNfa>(&qs.compiled);
     g->route = qs.route;
     g->route_class = qs.route_class;
+    g->space = classes_[qs.route_class].space;
+    g->pin = PinOf(qs.compiled);
+    classes_[qs.route_class].scan.push_back(static_cast<uint32_t>(groups_.size()));
     groups_.push_back(std::move(g));
   }
   MergeGroup& g = *groups_[a.group];
@@ -97,17 +154,26 @@ Result<QueryId> CepEngine::QueryIdByName(std::string_view name) const {
   return Status::NotFound("no query named '" + std::string(name) + "'");
 }
 
-uint16_t CepEngine::SpecIndexFor(EventTypeId type, size_t attr) {
+uint16_t CepEngine::SpecIndexFor(EventTypeId type, size_t attr, uint32_t space) {
   for (size_t s = 0; s < specs_.size(); ++s) {
     if (specs_[s].type == type && specs_[s].attr == attr) {
       return static_cast<uint16_t>(s);
     }
   }
   const uint16_t s = static_cast<uint16_t>(specs_.size());
-  specs_.push_back(ExtractorSpec{type, attr});
+  specs_.push_back(ExtractorSpec{type, attr, space});
   if (specs_by_type_.size() <= type) specs_by_type_.resize(type + 1);
   specs_by_type_[type].push_back(s);
   return s;
+}
+
+uint32_t CepEngine::SpaceFor(const std::string& attr) {
+  for (size_t i = 0; i < spaces_.size(); ++i) {
+    if (spaces_[i].attr == attr) return static_cast<uint32_t>(i);
+  }
+  spaces_.emplace_back();
+  spaces_.back().attr = attr;
+  return static_cast<uint32_t>(spaces_.size() - 1);
 }
 
 void CepEngine::OpenTables(MergeGroup& g) {
@@ -115,20 +181,34 @@ void CepEngine::OpenTables(MergeGroup& g) {
   for (MatchTable* table : g.tables) appenders_.emplace_back(table);
 }
 
-void CepEngine::Step(MergeGroup& g, const Event& event, uint32_t event_idx,
-                     std::string_view key, uint64_t hash) {
-  bool created = false;
-  const uint32_t id = g.interner.Intern(key, hash, &created);
-  if (created) {
-    g.runs.emplace_back(g.nfa.get());
-    // Every table of the group registers the partition in the same
-    // first-seen order, so the bucket id is identical across them — one id
-    // serves them all.
-    const std::string_view stored = g.interner.KeyOf(id);
-    uint32_t bucket = 0;
-    for (MatchTable::Appender& table : appenders_) bucket = table.EnsureBucket(stored);
-    g.buckets.push_back(bucket);
+uint32_t CepEngine::Register(MergeGroup& g, uint32_t key) {
+  const uint32_t id = static_cast<uint32_t>(g.keys.size());
+  if (g.local.size() <= key) g.local.resize(spaces_[g.space].keys.size(), kNoId);
+  g.local[key] = id;
+  g.keys.push_back(key);
+  g.runs.emplace_back(g.nfa.get());
+  // Every table of the group registers the partition in the same first-seen
+  // order, so the bucket id is identical across them — one id serves them all.
+  const std::string_view stored = KeyOf(g, id);
+  uint32_t bucket = 0;
+  for (MatchTable::Appender& table : appenders_) bucket = table.EnsureBucket(stored);
+  g.buckets.push_back(bucket);
+  if (g.pin != nullptr) {
+    g.watch.push_back(KeyWatch::kUndecided);
+    ++g.undecided;
   }
+  return id;
+}
+
+void CepEngine::Decide(MergeGroup& g, uint32_t id, const Value& value) {
+  g.watch[id] = PinRulesOut(*g.pin, value, KeyOf(g, id)) ? KeyWatch::kDead
+                                                          : KeyWatch::kLive;
+  --g.undecided;
+}
+
+void CepEngine::Step(MergeGroup& g, const Event& event, uint32_t event_idx,
+                     uint32_t id) {
+  ++steps_;
   SharedRun& run = g.runs[id];
   const SharedStepResult step = run.Step(event);
   if (!step.absorbed_kleene && !step.match_complete) return;
@@ -154,7 +234,7 @@ void CepEngine::Step(MergeGroup& g, const Event& event, uint32_t event_idx,
     if (want_notes) {
       for (const QueryId q : rc.members) {
         notes_.push_back({event_idx,
-                          MatchNotification{q, id, g.interner.KeyOf(id),
+                          MatchNotification{q, id, KeyOf(g, id),
                                             row_now ? row_ : MatchRow{},
                                             step.match_complete}});
       }
@@ -163,40 +243,49 @@ void CepEngine::Step(MergeGroup& g, const Event& event, uint32_t event_idx,
   if (step.match_complete) run.Reset();
 }
 
-void CepEngine::OnEvent(const Event& event) {
-  ++events_processed_;
-  for (auto& gp : groups_) {
-    MergeGroup& g = *gp;
-    const uint16_t r =
-        event.type < g.route.size() ? g.route[event.type] : kRouteIrrelevant;
-    if (r == kRouteIrrelevant) continue;
-
-    std::string_view key;
-    uint64_t hash;
-    if (r == kRouteEmptyKey) {
-      hash = empty_key_hash_;
-    } else {
-      const ExtractorSpec& spec = specs_[r - kRouteSpecBase];
-      const Value& v = event.values[spec.attr];
-      if (v.is_string()) {
-        key = v.AsString();
-      } else {
-        serial_key_scratch_ = v.ToString();
-        key = serial_key_scratch_;
+void CepEngine::ScanPass(MergeGroup& g, const RouteClass& rc, const Event* events) {
+  // One pass in stream order: partition ids and bucket ids come out in the
+  // group's first-seen order, and each table is locked once for the pass.
+  OpenTables(g);
+  for (size_t j = 0; j < rc.events.size(); ++j) {
+    const uint32_t i = rc.events[j];
+    const uint32_t key = rc.event_keys[j];
+    uint32_t id = key < g.local.size() ? g.local[key] : kNoId;
+    if (id == kNoId) id = Register(g, key);
+    if (g.pin != nullptr) {
+      if (g.watch[id] == KeyWatch::kUndecided) {
+        const Event& e = events[i];
+        Decide(g, id, e.values[specs_[g.route[e.type] - kRouteSpecBase].attr]);
       }
-      hash = PartitionKeyHash(key);
+      if (g.watch[id] == KeyWatch::kDead) continue;
     }
-    OpenTables(g);
-    Step(g, event, 0, key, hash);
-    appenders_.clear();
+    Step(g, events[i], i, id);
   }
-  DispatchNotifications();
+  appenders_.clear();
+}
+
+void CepEngine::PromoteSynced(RouteClass& rc) {
+  size_t kept = 0;
+  for (const uint32_t gi : rc.scan) {
+    const MergeGroup& g = *groups_[gi];
+    if (g.pin == nullptr || g.undecided != 0 || g.keys.size() != rc.num_seen) {
+      rc.scan[kept++] = gi;
+      continue;
+    }
+    rc.synced.push_back(gi);
+    for (uint32_t id = 0; id < g.keys.size(); ++id) {
+      if (g.watch[id] != KeyWatch::kLive) continue;
+      if (rc.watchers.size() <= g.keys[id]) rc.watchers.resize(g.keys[id] + 1);
+      rc.watchers[g.keys[id]].push_back(gi);
+    }
+  }
+  rc.scan.resize(kept);
 }
 
 void CepEngine::RebuildRouteIndex() {
   classes_by_type_.assign(registry_->size(), {});
-  for (size_t c = 0; c < route_classes_.size(); ++c) {
-    const std::vector<uint16_t>& route = route_classes_[c];
+  for (size_t c = 0; c < classes_.size(); ++c) {
+    const std::vector<uint16_t>& route = classes_[c].route;
     for (size_t t = 0; t < route.size() && t < classes_by_type_.size(); ++t) {
       if (route[t] != kRouteIrrelevant) {
         classes_by_type_[t].push_back(static_cast<uint16_t>(c));
@@ -206,66 +295,122 @@ void CepEngine::RebuildRouteIndex() {
   route_index_dirty_ = false;
 }
 
-void CepEngine::PrepareBatchKeys(const EventBatch& batch) {
-  const size_t n = batch.size();
-  prep_.resize(specs_.size());
-  prep_keys_.resize(specs_.size());
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    if (prep_[s].size() < n) prep_[s].resize(n);
-  }
+void CepEngine::PrepareKeys(const Event* events, size_t n) {
   if (route_index_dirty_) RebuildRouteIndex();
-  class_events_.resize(route_classes_.size());
-  for (auto& list : class_events_) list.clear();
+  for (RouteClass& rc : classes_) {
+    rc.events.clear();
+    rc.event_keys.clear();
+    rc.new_keys.clear();
+    for (const uint32_t key : rc.call_keys) rc.key_events[key].clear();
+    rc.call_keys.clear();
+  }
+  spec_keys_.resize(specs_.size());
   for (uint32_t i = 0; i < n; ++i) {
-    const Event& e = batch[i];
+    const Event& e = events[i];
     // The inverted class index makes this loop proportional to the classes
     // that actually want the event's type, not to all classes.
-    if (e.type < classes_by_type_.size()) {
-      for (const uint16_t c : classes_by_type_[e.type]) {
-        class_events_[c].push_back(i);
+    if (e.type >= classes_by_type_.size() || classes_by_type_[e.type].empty()) continue;
+    if (e.type < specs_by_type_.size()) {
+      for (const uint16_t s : specs_by_type_[e.type]) {
+        const Value& v = e.values[specs_[s].attr];
+        std::string_view key;
+        if (v.is_string()) {
+          key = v.AsString();
+        } else {
+          key_scratch_ = v.ToString();
+          key = key_scratch_;
+        }
+        spec_keys_[s] =
+            spaces_[specs_[s].space].keys.Intern(key, PartitionKeyHash(key));
       }
     }
-    if (e.type >= specs_by_type_.size()) continue;
-    for (const uint16_t s : specs_by_type_[e.type]) {
-      const Value& v = e.values[specs_[s].attr];
-      PrepKey& pk = prep_[s][i];
-      if (v.is_string()) {
-        pk.view = v.AsString();
-      } else {
-        auto& storage = prep_keys_[s];
-        if (storage.size() < n) storage.resize(n);
-        storage[i] = v.ToString();
-        pk.view = storage[i];
+    for (const uint16_t c : classes_by_type_[e.type]) {
+      RouteClass& rc = classes_[c];
+      const uint16_t r = rc.route[e.type];
+      const uint32_t key = r == kRouteEmptyKey ? 0 : spec_keys_[r - kRouteSpecBase];
+      if (rc.seen.size() <= key) rc.seen.resize(spaces_[rc.space].keys.size(), 0);
+      if (rc.seen[key] == 0) {
+        rc.seen[key] = 1;
+        ++rc.num_seen;
+        rc.new_keys.push_back(static_cast<uint32_t>(rc.events.size()));
       }
-      pk.hash = PartitionKeyHash(pk.view);
+      if (!rc.synced.empty()) {
+        if (rc.key_events.size() <= key) {
+          rc.key_events.resize(spaces_[rc.space].keys.size());
+        }
+        if (rc.key_events[key].empty()) rc.call_keys.push_back(key);
+        rc.key_events[key].push_back(i);
+      }
+      rc.events.push_back(i);
+      rc.event_keys.push_back(key);
     }
   }
 }
 
-void CepEngine::IngestBatch(const EventBatch& batch) {
-  if (batch.empty()) return;
-  events_processed_ += batch.size();
-  PrepareBatchKeys(batch);
-  for (auto& gp : groups_) {
-    MergeGroup& g = *gp;
-    const std::vector<uint32_t>& events = class_events_[g.route_class];
-    if (events.empty()) continue;
-    // One pass per group in stream order: intern ids and bucket ids come out
-    // in first-seen order, and each table is locked once for the whole pass.
-    OpenTables(g);
-    for (const uint32_t i : events) {
-      const Event& e = batch[i];
-      const uint16_t r = g.route[e.type];
-      if (r == kRouteEmptyKey) {
-        Step(g, e, i, {}, empty_key_hash_);
-      } else {
-        const PrepKey& pk = prep_[r - kRouteSpecBase][i];
-        Step(g, e, i, pk.view, pk.hash);
+void CepEngine::Ingest(const Event* events, size_t n) {
+  if (n == 0) return;
+  events_processed_ += n;
+  PrepareKeys(events, n);
+  for (RouteClass& rc : classes_) {
+    if (rc.events.empty()) continue;
+    for (const uint32_t gi : rc.scan) ScanPass(*groups_[gi], rc, events);
+    // Synced groups hold every key the class saw before this call, so the
+    // keys new to the class are exactly the keys new to them, in the same
+    // first-seen order.
+    if (!rc.new_keys.empty()) {
+      for (const uint32_t gi : rc.synced) {
+        MergeGroup& g = *groups_[gi];
+        OpenTables(g);
+        for (const uint32_t j : rc.new_keys) {
+          const uint32_t key = rc.event_keys[j];
+          const uint32_t id = Register(g, key);
+          const Event& e = events[rc.events[j]];
+          Decide(g, id, e.values[specs_[g.route[e.type] - kRouteSpecBase].attr]);
+          if (g.watch[id] != KeyWatch::kLive) continue;
+          if (rc.watchers.size() <= key) rc.watchers.resize(key + 1);
+          rc.watchers[key].push_back(gi);
+        }
+        appenders_.clear();
       }
     }
-    appenders_.clear();
+    // Each synced group steps only its live keys' events. Runs of different
+    // keys are independent, so stepping key by key (each key in stream
+    // order) changes no run, row or note order.
+    for (const uint32_t key : rc.call_keys) {
+      if (key >= rc.watchers.size()) continue;
+      for (const uint32_t gi : rc.watchers[key]) {
+        MergeGroup& g = *groups_[gi];
+        const uint32_t id = g.local[key];
+        OpenTables(g);
+        for (const uint32_t i : rc.key_events[key]) Step(g, events[i], i, id);
+        appenders_.clear();
+      }
+    }
+    PromoteSynced(rc);
   }
   DispatchNotifications();
+}
+
+void CepEngine::ResetClassRouting() {
+  for (RouteClass& rc : classes_) {
+    rc.seen.clear();
+    rc.num_seen = 0;
+    rc.scan.clear();
+    rc.synced.clear();
+    rc.watchers.clear();
+  }
+  for (uint32_t gi = 0; gi < groups_.size(); ++gi) {
+    const MergeGroup& g = *groups_[gi];
+    RouteClass& rc = classes_[g.route_class];
+    rc.scan.push_back(gi);
+    for (const uint32_t key : g.keys) {
+      if (rc.seen.size() <= key) rc.seen.resize(spaces_[rc.space].keys.size(), 0);
+      if (rc.seen[key] == 0) {
+        rc.seen[key] = 1;
+        ++rc.num_seen;
+      }
+    }
+  }
 }
 
 void CepEngine::DispatchNotifications() {
@@ -300,11 +445,9 @@ void CepEngine::SaveState(BytesWriter* out) const {
     // redundancy as a cross-check.
     const MergeGroup& g = *groups_[qs->merge_group];
     const uint32_t nfa_residue = g.residues[qs->merge_residue].nfa_residue;
-    const uint32_t n_keys = static_cast<uint32_t>(g.interner.size());
+    const uint32_t n_keys = static_cast<uint32_t>(g.keys.size());
     out->Put<uint32_t>(n_keys);
-    for (uint32_t id = 0; id < n_keys; ++id) {
-      out->PutString(g.interner.KeyOf(id));
-    }
+    for (uint32_t id = 0; id < n_keys; ++id) out->PutString(KeyOf(g, id));
     out->PutPodVector(g.buckets);
     for (uint32_t id = 0; id < n_keys; ++id) {
       g.runs[id].SaveMemberView(nfa_residue, out);
@@ -337,7 +480,7 @@ Status CepEngine::RestoreState(BytesReader* in) {
   }
   if (replan) {
     for (const auto& gp : groups_) {
-      if (gp->interner.size() != 0) {
+      if (!gp->keys.empty()) {
         return Status::InvalidArgument(
             "engine must be freshly constructed before restore");
       }
@@ -354,6 +497,7 @@ Status CepEngine::RestoreState(BytesReader* in) {
       queries_[qi]->physical = &queries_[qi]->matches;
       AssignMergePlan(qi, /*force_singleton=*/mid_stream[qi] != 0);
     }
+    ResetClassRouting();  // drops the old plan's group indices
   }
   // Adopt the persisted flags so a re-checkpoint of the restored engine
   // writes the same plan.
@@ -384,33 +528,39 @@ Status CepEngine::RestoreState(BytesReader* in) {
     const bool take_kleene = g.bound_source == qi;
     const bool take_aggs = rc.rep == qi;
     if (first_member) {
-      if (g.interner.size() != 0) {
+      if (!g.keys.empty()) {
         return Status::InvalidArgument(
             "engine must be freshly constructed before restore");
       }
-      // Re-interning the keys in saved id order reproduces the exact id
-      // assignment (first-intern order is the id order).
+      // Registering the keys in saved id order reproduces the exact id
+      // assignment. A pinned group decides each key again on its next event.
+      KeySpace& space = spaces_[g.space];
       g.runs.reserve(n_keys);
       for (uint32_t i = 0; i < n_keys; ++i) {
-        bool created = false;
-        const uint32_t id =
-            g.interner.Intern(keys[i], PartitionKeyHash(keys[i]), &created);
-        if (!created || id != i) {
+        const uint32_t key = space.keys.Intern(keys[i], PartitionKeyHash(keys[i]));
+        if (g.local.size() <= key) g.local.resize(space.keys.size(), kNoId);
+        if (g.local[key] != kNoId) {
           return Status::Corruption(
               StrFormat("duplicate partition key in snapshot at id %u", i));
         }
+        g.local[key] = i;
+        g.keys.push_back(key);
         g.runs.emplace_back(g.nfa.get());
+        if (g.pin != nullptr) {
+          g.watch.push_back(KeyWatch::kUndecided);
+          ++g.undecided;
+        }
       }
       g.buckets = std::move(buckets);
     } else {
       // Later members of the group must describe the exact same shared
       // state their group already restored.
-      if (n_keys != g.interner.size() || buckets != g.buckets) {
+      if (n_keys != g.keys.size() || buckets != g.buckets) {
         return Status::Corruption(StrFormat(
             "merged query %u disagrees with its group's restored keys", qi));
       }
       for (uint32_t i = 0; i < n_keys; ++i) {
-        if (keys[i] != g.interner.KeyOf(i)) {
+        if (keys[i] != KeyOf(g, i)) {
           return Status::Corruption(StrFormat(
               "merged query %u disagrees with its group's restored keys", qi));
         }
@@ -436,6 +586,7 @@ Status CepEngine::RestoreState(BytesReader* in) {
     }
   }
   events_processed_ = events_processed;
+  ResetClassRouting();
   return Status::OK();
 }
 

@@ -1,13 +1,13 @@
 // CepEngine: the multi-query CEP evaluator at the core of the monitoring
 // system (Fig. 1c / Fig. 18).
 //
-// Ingestion has two entry points with identical semantics:
-//
-//   * OnEvent        — the classic one-event-at-a-time path.
-//   * OnEventBatch   — the throughput path. Partition keys are extracted and
-//     hashed once per event (not once per query per event), partition ids are
-//     dense uint32_t interns indexing flat run vectors, and each match table
-//     is locked once per batch.
+// Ingestion has two entry points with identical semantics and one
+// implementation: OnEvent is a batch of one, and OnEventBatch/IngestBatch
+// take a run of consecutive events. Partition keys are extracted, hashed and
+// interned once per event (not once per query per event) into an
+// engine-wide id space per partition attribute name; each merge group maps
+// that id to its own dense partition id through a flat array, and each match
+// table is locked once per group pass.
 //
 // Multi-query optimization: queries are canonicalized and grouped by
 // matching structure (cep/query_merge.h), and each *group* is evaluated once
@@ -17,11 +17,25 @@
 // RETURN semantics share row construction (residue classes) and members with
 // identical output columns share one physical MatchTable (table classes).
 //
+// Routing: groups with identical type-route tables form a route class, and
+// each ingest call lists a class's relevant events once. Most groups step
+// every event of their class. A *pinned* group — one whose first positive
+// component carries `attr = constant` on its own partition attribute, the
+// per-node dashboard watch — can only ever start a run under keys the
+// constant may equal; every other key's run stays in its initial state, so
+// stepping it is a no-op. Such a group marks each key live or dead when it
+// first registers it, and once it has registered every key its class has
+// seen it is indexed by (route class, key id): it then steps only the events
+// of its live keys, and registers the class's new keys as they arrive. Per
+// event, CEP work scales with the groups that can match the event, not with
+// the number of queries.
+//
 // Ingestion is single-threaded and runs to completion on the calling thread:
-// a batch is evaluated group by group, and within a group event by event in
-// stream order, so intern ids and bucket ids are assigned in first-seen order.
-// Parallel ingest comes from running several engines (TenantHub applies
-// tenants in parallel), not from splitting one engine's work.
+// a call is evaluated class by class and group by group, and within a group
+// event by event in stream order, so intern ids and bucket ids are assigned
+// in each group's first-seen order. Parallel ingest comes from running
+// several engines (TenantHub applies tenants in parallel), not from
+// splitting one engine's work.
 //
 // Determinism contract (same as the explanation pipeline): for any batch
 // split, the resulting MatchTables, the match callback sequence and the
@@ -32,6 +46,7 @@
 
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -77,8 +92,9 @@ struct CepEngineOptions {};
 /// Each query maintains one run per partition value (the bracketed
 /// equivalence attribute); structurally equivalent queries share one run per
 /// partition through their merge group. Events irrelevant to a group (by
-/// type) are skipped via a per-group type-route table, so thousands of
-/// concurrent queries stay cheap per event (the Fig. 20 scenario).
+/// type) are skipped via the route class's event list, and a pinned group
+/// skips the events of keys its pin rules out, so thousands of concurrent
+/// queries stay cheap per event (the Fig. 20 scenario).
 ///
 /// Thread model: one ingesting thread calls OnEvent/OnEventBatch; readers
 /// (visualization, Explain, checkpoints of the tables) may query MatchTables
@@ -86,8 +102,7 @@ struct CepEngineOptions {};
 /// group pass at a time.
 class CepEngine : public EventSink {
  public:
-  explicit CepEngine(const EventTypeRegistry* registry, CepEngineOptions = {})
-      : registry_(registry) {}
+  explicit CepEngine(const EventTypeRegistry* registry, CepEngineOptions = {});
 
   /// Compiles and registers a query; returns its id.
   Result<QueryId> AddQuery(const Query& query);
@@ -96,16 +111,21 @@ class CepEngine : public EventSink {
   Result<QueryId> AddQueryText(std::string_view text, std::string name);
 
   /// EventSink: feeds one event through every relevant query.
-  void OnEvent(const Event& event) override;
+  void OnEvent(const Event& event) override { Ingest(&event, 1); }
 
   /// EventSink: batched ingest (see class comment for the contract).
   void OnEventBatch(EventBatch batch) override { IngestBatch(batch); }
 
   /// Batched ingest for callers that keep the buffer (e.g. to forward it).
-  void IngestBatch(const EventBatch& batch);
+  void IngestBatch(const EventBatch& batch) { Ingest(batch.data(), batch.size()); }
 
   size_t num_queries() const { return queries_.size(); }
   uint64_t events_processed() const { return events_processed_; }
+
+  /// \brief Shared-automaton steps taken so far: one per (merge group,
+  /// routed event) pair actually evaluated. A deterministic work count — it
+  /// depends on the queries and the stream, not on batching or the clock.
+  uint64_t steps() const { return steps_; }
 
   /// Merge-plan shape (groups/residues/tables).
   const MergePlanStats& merge_stats() const { return planner_.stats(); }
@@ -135,8 +155,8 @@ class CepEngine : public EventSink {
   /// route tables are NOT included: RestoreState requires the same queries
   /// added in the same order. Each query is written as the state its own
   /// QueryRuns would hold (merged groups write one member view per query),
-  /// so the format does not depend on the merge plan. Must not run
-  /// concurrently with ingestion.
+  /// so the format does not depend on the merge plan or on routing. Must not
+  /// run concurrently with ingestion.
   void SaveState(BytesWriter* out) const;
 
   /// \brief Restores a SaveState snapshot. The engine must hold the same
@@ -150,18 +170,28 @@ class CepEngine : public EventSink {
   static constexpr uint16_t kRouteSpecBase = 2;  ///< spec index + 2
 
   static constexpr QueryId kNoQuery = static_cast<QueryId>(-1);
+  static constexpr uint32_t kNoId = static_cast<uint32_t>(-1);
+
+  /// A pinned group's verdict on one of its partition keys.
+  enum class KeyWatch : uint8_t {
+    kUndecided,  ///< restored from a snapshot; decided on its next event
+    kLive,       ///< the pin may pass: every event of the key is stepped
+    kDead,       ///< the pin fails for every value of the key: never stepped
+  };
 
   /// One partition-key extraction: attribute `attr` of events of `type`.
-  /// Deduplicated across queries so a key is extracted/hashed once per event.
+  /// Deduplicated across queries so a key is extracted/interned once per event.
   struct ExtractorSpec {
     EventTypeId type = kInvalidEventType;
     size_t attr = 0;
+    uint32_t space = 0;  ///< key space of the attribute's name
   };
 
-  /// A partition key ready for interning: view plus its precomputed hash.
-  struct PrepKey {
-    std::string_view view;
-    uint64_t hash = 0;
+  /// Every partition key seen under one attribute name, interned to an
+  /// engine-wide id. Space 0 is the unpartitioned queries' single empty key.
+  struct KeySpace {
+    std::string attr;
+    PartitionInterner keys;
   };
 
   struct PendingNote {
@@ -176,7 +206,7 @@ class CepEngine : public EventSink {
     /// class representative's matches when this query merged into one.
     MatchTable* physical = nullptr;
     std::vector<uint16_t> route;      ///< event type -> route entry
-    uint32_t route_class = 0;         ///< index into route_classes_
+    uint32_t route_class = 0;         ///< index into classes_
     uint32_t merge_group = 0;         ///< owning group index
     uint32_t merge_residue = 0;       ///< residue within group
     /// Added after ingestion started (forced singleton in the merge plan).
@@ -210,39 +240,96 @@ class CepEngine : public EventSink {
     /// First member whose own QueryRun stores the latest kleene event — the
     /// record that supplies the kleene bound slot on checkpoint restore.
     QueryId bound_source = kNoQuery;
-    PartitionInterner interner;
-    std::vector<SharedRun> runs;       ///< indexed by interned partition id
+    uint32_t space = 0;                ///< key space of the partition attribute
+    std::vector<uint32_t> local;       ///< space key id -> partition id (or kNoId)
+    std::vector<uint32_t> keys;        ///< partition id -> space key id
+    std::vector<SharedRun> runs;       ///< indexed by partition id
     std::vector<uint32_t> buckets;     ///< id -> bucket (same in all tables)
     std::vector<uint16_t> route;       ///< == every member's route table
     uint32_t route_class = 0;
+    /// The `attr = constant` predicate that pins the group (null if none),
+    /// owned by the group's shape query.
+    const CompiledPredicate* pin = nullptr;
+    std::vector<KeyWatch> watch;       ///< pinned: partition id -> verdict
+    uint32_t undecided = 0;            ///< pinned: kUndecided entries in watch
+  };
+
+  /// \brief Queries with identical route tables. The class lists each
+  /// ingest call's relevant events once, and routes them to its groups:
+  /// every event to the `scan` groups, and only live keys' events to pinned
+  /// groups that have registered every key the class has seen (`synced`).
+  struct RouteClass {
+    std::vector<uint16_t> route;     ///< event type -> route entry
+    uint32_t space = 0;              ///< key space of every spec in `route`
+    std::vector<uint8_t> seen;       ///< space key id -> seen by the class
+    uint32_t num_seen = 0;
+    std::vector<uint32_t> scan;      ///< groups that step every class event
+    std::vector<uint32_t> synced;    ///< pinned groups indexed by key
+    std::vector<std::vector<uint32_t>> watchers;  ///< key id -> synced groups live on it
+
+    // Per-ingest-call lists, refilled by PrepareKeys.
+    std::vector<uint32_t> events;      ///< relevant event indexes, stream order
+    std::vector<uint32_t> event_keys;  ///< key id of each entry of `events`
+    std::vector<uint32_t> new_keys;    ///< positions in `events` of first-seen keys
+    /// Filled only while `synced` is non-empty: key id -> event indexes, and
+    /// the keys with events in this call.
+    std::vector<std::vector<uint32_t>> key_events;
+    std::vector<uint32_t> call_keys;
   };
 
   /// Deduplicated index of (type, attr); appends a new spec if unseen.
-  uint16_t SpecIndexFor(EventTypeId type, size_t attr);
+  uint16_t SpecIndexFor(EventTypeId type, size_t attr, uint32_t space);
+
+  /// Id of the key space for partition attribute `attr` (created if new).
+  uint32_t SpaceFor(const std::string& attr);
 
   /// Assigns query `id` to its merge group / residue / table classes,
   /// creating them as needed. Called by AddQuery, and by RestoreState when a
   /// snapshot's persisted mid-stream flags require rebuilding the plan.
   void AssignMergePlan(QueryId id, bool force_singleton);
 
-  /// Fills prep_ with one (view, hash) per (spec, event) for this batch.
-  void PrepareBatchKeys(const EventBatch& batch);
+  /// The one ingest path: OnEvent is a call with n == 1.
+  void Ingest(const Event* events, size_t n);
 
-  /// Rebuilds classes_by_type_ from route_classes_ when stale.
+  /// Interns each event's keys once and fills every route class's lists.
+  void PrepareKeys(const Event* events, size_t n);
+
+  /// Rebuilds classes_by_type_ from classes_ when stale.
   void RebuildRouteIndex();
+
+  /// Puts every group back on its class's scan list and recomputes each
+  /// class's seen keys from its groups' keys (after a restore).
+  void ResetClassRouting();
 
   /// Locks every table of `g` for one group pass (fills appenders_). Only
   /// the ingest thread ever holds more than one table lock; readers take one
   /// at a time, so the acquisition order cannot deadlock.
   void OpenTables(MergeGroup& g);
 
-  /// \brief One (group, event) step, shared by OnEvent and IngestBatch:
-  /// interns the partition key (creating its run and registering its bucket
-  /// in every group table on first sight), advances the shared run, appends
-  /// rows and completions through appenders_ (opened by OpenTables), and
-  /// queues notifications tagged with `event_idx`.
-  void Step(MergeGroup& g, const Event& event, uint32_t event_idx,
-            std::string_view key, uint64_t hash);
+  /// Registers space key `key` as `g`'s next partition id: its run, and its
+  /// bucket in every group table (through appenders_). Returns the id.
+  uint32_t Register(MergeGroup& g, uint32_t key);
+
+  /// Records a pinned group's verdict on partition `id`, whose key an event
+  /// carries as `value`.
+  void Decide(MergeGroup& g, uint32_t id, const Value& value);
+
+  /// Steps `g` over every event its class routed in this call (registering
+  /// unseen keys in first-seen order; skipping a pinned group's dead keys).
+  void ScanPass(MergeGroup& g, const RouteClass& rc, const Event* events);
+
+  /// Moves pinned scan groups of `rc` that now hold every seen key, and no
+  /// undecided one, to the key index.
+  void PromoteSynced(RouteClass& rc);
+
+  /// \brief One (group, event) step: advances partition `id`'s shared run,
+  /// appends rows and completions through appenders_ (opened by
+  /// OpenTables), and queues notifications tagged with `event_idx`.
+  void Step(MergeGroup& g, const Event& event, uint32_t event_idx, uint32_t id);
+
+  std::string_view KeyOf(const MergeGroup& g, uint32_t id) const {
+    return spaces_[g.space].keys.KeyOf(g.keys[id]);
+  }
 
   /// Delivers the queued notifications in (event, query) order.
   void DispatchNotifications();
@@ -251,31 +338,27 @@ class CepEngine : public EventSink {
   std::vector<std::unique_ptr<QueryState>> queries_;
   std::function<void(const MatchNotification&)> callback_;
   uint64_t events_processed_ = 0;
+  uint64_t steps_ = 0;
 
   // Partition-key extraction, shared across queries.
   std::vector<ExtractorSpec> specs_;
   std::vector<std::vector<uint16_t>> specs_by_type_;  ///< type -> spec indices
-  uint64_t empty_key_hash_ = PartitionKeyHash({});
-  std::string serial_key_scratch_;  ///< OnEvent: reused numeric-key buffer
+  std::deque<KeySpace> spaces_;  ///< deque: interned key views never move
 
-  // Route classes: queries with identical route tables share one class, and
-  // each batch computes the class's relevant-event index list once — so 1000
-  // replicated queries (the Fig. 20 shape) skip a batch's irrelevant events
-  // with one scan total instead of one scan each. classes_by_type_ inverts
-  // the class route tables (event type -> classes that want it); it is
-  // rebuilt lazily after AddQuery instead of being rescanned per batch.
-  std::vector<std::vector<uint16_t>> route_classes_;   ///< class -> route table
-  std::vector<std::vector<uint16_t>> classes_by_type_; ///< type -> class idxs
+  // Route classes. classes_by_type_ inverts the class route tables (event
+  // type -> classes that want it); it is rebuilt lazily after AddQuery
+  // instead of being rescanned per call.
+  std::vector<RouteClass> classes_;
+  std::vector<std::vector<uint16_t>> classes_by_type_;
   bool route_index_dirty_ = false;
-  std::vector<std::vector<uint32_t>> class_events_;    ///< class -> event idxs
 
   // Multi-query merge plan.
   MergePlanner planner_;
   std::vector<std::unique_ptr<MergeGroup>> groups_;
 
-  // Ingest scratch (reused across events and batches).
-  std::vector<std::vector<PrepKey>> prep_;           ///< per spec, per event
-  std::vector<std::vector<std::string>> prep_keys_;  ///< numeric keys storage
+  // Ingest scratch (reused across events and calls).
+  std::vector<uint32_t> spec_keys_;                  ///< one event's key id per spec
+  std::string key_scratch_;                          ///< numeric key text
   std::vector<MatchTable::Appender> appenders_;      ///< open tables of one group
   MatchRow row_;                                     ///< per-residue row build
   std::vector<PendingNote> notes_;                   ///< undelivered notifications

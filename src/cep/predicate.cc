@@ -12,22 +12,31 @@ double RefValueAsDouble(const CompiledRef& ref, const Event& event) {
   return event.values[ref.attr_index].AsDouble();
 }
 
+namespace {
+
+/// The referenced value where it lives; a timestamp is materialized into
+/// `*ts` (an int64, which never allocates).
+const Value& RefValueIn(const CompiledRef& ref, const Event& event, Value* ts) {
+  if (!ref.is_timestamp) return event.values[ref.attr_index];
+  *ts = Value(static_cast<int64_t>(event.ts));
+  return *ts;
+}
+
+}  // namespace
+
 bool CompiledPredicate::Eval(const Event& candidate,
                              const std::vector<Event>& bound) const {
-  const Value lhs_val = RefValue(lhs, candidate);
-  Value rhs_val;
-  if (rhs_constant.has_value()) {
-    rhs_val = *rhs_constant;
-  } else {
-    const Event& other = bound[rhs_ref->component];
-    rhs_val = RefValue(*rhs_ref, other);
-  }
+  Value lhs_ts;
+  Value rhs_ts;
+  const Value& lhs_val = RefValueIn(lhs, candidate, &lhs_ts);
+  const Value& rhs_val = rhs_constant.has_value()
+                             ? *rhs_constant
+                             : RefValueIn(*rhs_ref, bound[rhs_ref->component], &rhs_ts);
   // String-vs-string compares lexicographically; numeric-vs-numeric as
   // doubles. A type mismatch fails the predicate rather than erroring out of
   // the hot path — monitoring should not stall on one malformed event.
-  auto cmp = lhs_val.Compare(rhs_val);
-  if (!cmp.ok()) return false;
-  const int c = *cmp;
+  if (lhs_val.is_string() != rhs_val.is_string()) return false;
+  const int c = *lhs_val.Compare(rhs_val);
   switch (op) {
     case CompareOp::kGt:
       return c > 0;

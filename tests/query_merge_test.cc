@@ -643,5 +643,168 @@ TEST_F(MergedEngineTest, CheckpointMatchesReferenceAndRestores) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Pinned groups (first component pins the partition key) across mid-stream
+// AddQuery and checkpoint/restore
+// ---------------------------------------------------------------------------
+
+constexpr char kPinnedJ1[] =
+    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] AND a.job = 'j1' "
+    "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
+constexpr char kPinnedJ2[] =
+    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] AND a.job = 'j2' "
+    "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
+
+// Start/Tick/Tick/End quadruplets over jobs j0..j{num_jobs-1}, interleaved.
+std::vector<Event> JobStream(Timestamp* ts, int num_jobs, int rounds) {
+  std::vector<Event> out;
+  for (int r = 0; r < rounds; ++r) {
+    for (int step = 0; step < 4; ++step) {
+      for (int j = 0; j < num_jobs; ++j) {
+        const std::string job = StrFormat("j%d", (j + r) % num_jobs);
+        const EventTypeId type = step == 0 ? 0 : (step == 3 ? 2 : 1);
+        if (type == 1) {
+          out.emplace_back(1, ++*ts, MakeValues(job, std::string("r"), 0.5 * r + j));
+        } else {
+          out.emplace_back(type, ++*ts, MakeValues(job, std::string("r")));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Feeds `events` to the engine in batches of `batch` (0 = OnEvent).
+void Feed(CepEngine* engine, const std::vector<Event>& events, size_t batch) {
+  if (batch == 0) {
+    for (const Event& e : events) engine->OnEvent(e);
+    return;
+  }
+  for (size_t i = 0; i < events.size();) {
+    const size_t end = i + std::min(batch, events.size() - i);
+    engine->IngestBatch(EventBatch(events.begin() + static_cast<ptrdiff_t>(i),
+                                   events.begin() + static_cast<ptrdiff_t>(end)));
+    i = end;
+  }
+}
+
+// Everything an observer sees of either evaluator after a run.
+template <typename Evaluator>
+EngineOutput Capture(const Evaluator& evaluator, std::vector<NoteCopy> notes) {
+  EngineOutput out;
+  for (QueryId q = 0; q < evaluator.num_queries(); ++q) {
+    out.tables.push_back(TableCopy::From(evaluator.match_table(q)));
+  }
+  out.notes = std::move(notes);
+  BytesWriter w;
+  evaluator.SaveState(&w);
+  out.snapshot = w.Take();
+  return out;
+}
+
+void ExpectSameOutput(const EngineOutput& want, const EngineOutput& got,
+                      const std::string& label) {
+  ASSERT_EQ(got.tables.size(), want.tables.size()) << label;
+  for (size_t q = 0; q < want.tables.size(); ++q) {
+    ExpectTablesEqual(want.tables[q], got.tables[q], StrFormat("%s Q%zu", label.c_str(), q));
+  }
+  ASSERT_EQ(got.notes.size(), want.notes.size()) << label;
+  for (size_t i = 0; i < want.notes.size(); ++i) {
+    ASSERT_TRUE(got.notes[i] == want.notes[i]) << label << " note #" << i;
+  }
+  EXPECT_TRUE(got.snapshot == want.snapshot) << label << ": SaveState bytes differ";
+}
+
+const std::vector<size_t> kBatchSizes = {0, 1, 7, 512, SIZE_MAX};
+
+TEST_F(MergedEngineTest, PinnedQueryAddedMidStream) {
+  // The mid-stream pinned groups start without the keys their class has
+  // seen, register keys in their own first-seen order, and only then join
+  // the key index. Job j3 first appears after the add.
+  Timestamp ts = 0;
+  const std::vector<Event> first = JobStream(&ts, 3, 6);
+  const std::vector<Event> second = JobStream(&ts, 4, 6);
+
+  ReferenceCep ref(&registry_);
+  std::vector<NoteCopy> want_notes;
+  ref.SetMatchCallback([&](const MatchNotification& n) {
+    want_notes.push_back(NoteCopy::From(n));
+  });
+  ASSERT_TRUE(ref.AddQueryText(kBase, "Q0").ok());
+  ASSERT_TRUE(ref.AddQueryText(kPinnedJ1, "Q1").ok());
+  for (const Event& e : first) ref.OnEvent(e);
+  ASSERT_TRUE(ref.AddQueryText(kPinnedJ1, "Q2").ok());
+  ASSERT_TRUE(ref.AddQueryText(kPinnedJ2, "Q3").ok());
+  for (const Event& e : second) ref.OnEvent(e);
+  const EngineOutput want = Capture(ref, want_notes);
+  ASSERT_FALSE(want_notes.empty());
+
+  for (const size_t batch : kBatchSizes) {
+    CepEngine engine(&registry_);
+    std::vector<NoteCopy> notes;
+    engine.SetMatchCallback([&](const MatchNotification& n) {
+      notes.push_back(NoteCopy::From(n));
+    });
+    ASSERT_TRUE(engine.AddQueryText(kBase, "Q0").ok());
+    ASSERT_TRUE(engine.AddQueryText(kPinnedJ1, "Q1").ok());
+    Feed(&engine, first, batch);
+    ASSERT_TRUE(engine.AddQueryText(kPinnedJ1, "Q2").ok());
+    ASSERT_TRUE(engine.AddQueryText(kPinnedJ2, "Q3").ok());
+    Feed(&engine, second, batch);
+    ExpectSameOutput(want, Capture(engine, notes), StrFormat("batch=%zu", batch));
+  }
+}
+
+TEST_F(MergedEngineTest, PinnedCheckpointRestoresMidStream) {
+  // The snapshot is taken with runs mid-kleene; the restored engine decides
+  // its keys again from the events that follow and must continue exactly as
+  // the uninterrupted reference does, new keys included.
+  Timestamp ts = 0;
+  std::vector<Event> before = JobStream(&ts, 3, 5);
+  before.emplace_back(0, ++ts, MakeValues(std::string("j1"), std::string("r")));
+  before.emplace_back(1, ++ts, MakeValues(std::string("j1"), std::string("r"), 4.0));
+  const std::vector<Event> after = JobStream(&ts, 5, 5);
+  const std::vector<std::string> queries = {kBase, kPinnedJ1, kPinnedJ1, kPinnedJ2};
+
+  ReferenceCep ref(&registry_);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(ref.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+  }
+  for (const Event& e : before) ref.OnEvent(e);
+  BytesWriter checkpoint;
+  ref.SaveState(&checkpoint);
+  std::vector<NoteCopy> want_notes;
+  ref.SetMatchCallback([&](const MatchNotification& n) {
+    want_notes.push_back(NoteCopy::From(n));
+  });
+  for (const Event& e : after) ref.OnEvent(e);
+  const EngineOutput want = Capture(ref, want_notes);
+  ASSERT_FALSE(want_notes.empty());
+
+  for (const size_t batch : kBatchSizes) {
+    const std::string label = StrFormat("batch=%zu", batch);
+    CepEngine source(&registry_);
+    CepEngine restored(&registry_);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ASSERT_TRUE(source.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+      ASSERT_TRUE(restored.AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
+    }
+    Feed(&source, before, batch);
+    BytesWriter saved;
+    source.SaveState(&saved);
+    EXPECT_TRUE(saved.str() == checkpoint.str()) << label << ": checkpoint bytes differ";
+
+    BytesReader reader(saved.str());
+    const Status st = restored.RestoreState(&reader);
+    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+    std::vector<NoteCopy> notes;
+    restored.SetMatchCallback([&](const MatchNotification& n) {
+      notes.push_back(NoteCopy::From(n));
+    });
+    Feed(&restored, after, batch);
+    ExpectSameOutput(want, Capture(restored, notes), label);
+  }
+}
+
 }  // namespace
 }  // namespace exstream
