@@ -168,49 +168,94 @@ void EventArchive::EnforceTierRetentionLocked(Shard* shard) {
   }
 }
 
+std::shared_ptr<DecodedChunks::Entry> DecodedChunks::EntryFor(
+    const std::shared_ptr<Chunk>& chunk) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<Entry>& entry = entries_[chunk];
+  if (entry == nullptr) entry = std::make_shared<Entry>();
+  return entry;
+}
+
+namespace {
+
+void AddSkipped(DegradationReport* report, const Chunk& chunk, std::string reason) {
+  DegradationReport::SkippedChunk sk;
+  sk.type = chunk.type();
+  sk.spill_path = chunk.spill_path();
+  sk.events_lost = chunk.size();
+  sk.reason = std::move(reason);
+  report->skipped.push_back(std::move(sk));
+  report->events_lost_estimate += chunk.size();
+  ++report->coverage[chunk.type()].chunks_skipped;
+}
+
+constexpr const char* kQuarantinedEarlier = "quarantined by an earlier scan";
+
+}  // namespace
+
 Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
                                            const TimeInterval& interval,
                                            DegradationReport* degradation,
                                            const CancelToken* cancel,
                                            Timestamp resolution) const {
+  std::vector<DegradationReport> reports(1);
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<ScanView> views,
+      ScanIntervals(type, {interval}, &reports, cancel, resolution, nullptr));
+  if (degradation != nullptr) degradation->Merge(reports[0]);
+  return std::move(views[0]);
+}
+
+Result<std::vector<ScanView>> EventArchive::ScanIntervals(
+    EventTypeId type, const std::vector<TimeInterval>& intervals,
+    std::vector<DegradationReport>* degradations, const CancelToken* cancel,
+    Timestamp resolution, DecodedChunks* decoded) const {
   if (type >= shards_.size()) {
     return Status::InvalidArgument(StrFormat("event type %u not registered", type));
   }
   const Shard& shard = shards_[type];
+  const size_t n = intervals.size();
 
-  // Phase 1 (under the shard lock): snapshot handles of overlapping chunks.
-  // Sealed resident chunks are pinned by shared_ptr (their columns are
+  // Phase 1 (under the shard lock): snapshot handles of chunks overlapping
+  // any interval, and do each interval's coverage accounting as its own scan
+  // would. Sealed resident chunks are pinned by shared_ptr (their columns are
   // immutable, so the binary search for the in-range rows can wait until the
   // lock is released); spilled chunks are carried as chunk handles (read —
   // and possibly quarantined — outside the lock); the open tail chunk is the
-  // one place events still mutate, so its in-range rows are column-copied
-  // here (bounded by chunk_capacity). Chunks already quarantined are skipped
-  // up front and accounted as lost coverage. A sealed chunk with a tier whose
-  // window divides a nonzero `resolution` is answered from that tier — no
-  // disk read, no row folding; with resolution 0 (exact rows required) a
-  // raw-evicted chunk is reported as resolution-degraded, never approximated.
+  // one place events still mutate, so the in-range rows of all intervals are
+  // column-copied here in one slice (bounded by chunk_capacity). Chunks
+  // already quarantined are skipped up front and accounted as lost coverage.
+  // A sealed chunk with a tier whose window divides a nonzero `resolution` is
+  // answered from that tier — no disk read, no row folding; with resolution 0
+  // (exact rows required) a raw-evicted chunk is reported as
+  // resolution-degraded, never approximated.
   std::vector<ChunkSnapshot> snapshots;
-  DegradationReport local;
+  std::vector<DegradationReport> local(n);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
+    std::vector<uint32_t> hits;
     for (const auto& chunk : shard.chunks) {
-      if (!chunk->Overlaps(interval)) continue;  // the time-range index at work
-      ++local.coverage[type].chunks_total;
+      hits.clear();
+      for (uint32_t k = 0; k < n; ++k) {
+        // The time-range index at work.
+        if (chunk->Overlaps(intervals[k])) hits.push_back(k);
+      }
+      if (hits.empty()) continue;
+      for (const uint32_t k : hits) ++local[k].coverage[type].chunks_total;
       if (chunk->quarantined()) {
-        DegradationReport::SkippedChunk sk;
-        sk.type = type;
-        sk.spill_path = chunk->spill_path();
-        sk.events_lost = chunk->size();
-        sk.reason = "quarantined by an earlier scan";
-        local.skipped.push_back(std::move(sk));
-        local.events_lost_estimate += chunk->size();
-        ++local.coverage[type].chunks_skipped;
+        for (const uint32_t k : hits) AddSkipped(&local[k], *chunk, kQuarantinedEarlier);
         continue;
       }
       ChunkSnapshot snap;
       if (!chunk->sealed()) {
         const ChunkColumns& cols = chunk->columns();
-        const auto [lo, hi] = cols.RowRange(interval);
+        size_t lo = cols.rows(), hi = 0;
+        for (const uint32_t k : hits) {
+          const auto [klo, khi] = cols.RowRange(intervals[k]);
+          if (khi <= klo) continue;
+          lo = std::min(lo, klo);
+          hi = std::max(hi, khi);
+        }
         if (hi > lo) {
           snap.open_tail = std::make_shared<const ChunkColumns>(cols.Slice(lo, hi));
         }
@@ -225,19 +270,15 @@ Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
         } else if (chunk->spilled() && chunk->raw_evicted()) {
           // Raw rows are gone and no tier matches the request: surface the
           // gap instead of silently answering at the wrong resolution.
-          DegradationReport::SkippedChunk sk;
-          sk.type = type;
-          sk.spill_path = chunk->spill_path();
-          sk.events_lost = chunk->size();
-          sk.reason = resolution > 0
-                          ? "raw rows evicted by tier-0 retention; no tier "
-                            "matches the requested resolution"
-                          : "raw rows evicted by tier-0 retention; exact rows "
-                            "required";
-          local.skipped.push_back(std::move(sk));
-          local.events_lost_estimate += chunk->size();
-          ++local.coverage[type].chunks_skipped;
-          ++local.resolution_degraded;
+          for (const uint32_t k : hits) {
+            AddSkipped(&local[k], *chunk,
+                       resolution > 0
+                           ? "raw rows evicted by tier-0 retention; no tier "
+                             "matches the requested resolution"
+                           : "raw rows evicted by tier-0 retention; exact rows "
+                             "required");
+            ++local[k].resolution_degraded;
+          }
           continue;
         } else if (auto resident = chunk->resident_columns()) {
           snap.resident = std::move(resident);
@@ -246,47 +287,64 @@ Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
         }
       }
       if (snap.resident || snap.spilled || snap.open_tail || snap.tiers) {
+        snap.hits = hits;
         snapshots.push_back(std::move(snap));
       }
     }
   }
 
-  // Phase 2 (lock-free): resolve each snapshot to a column segment. Spill-
-  // file reads — disk I/O — happen here, where they cannot stall appends. An
-  // unreadable spill degrades the scan instead of failing it. `order` stamps
-  // each segment with its chunk position so tier and raw segments interleave
-  // in time order for the consumer.
-  ScanView view;
-  view.segments.reserve(snapshots.size());
+  // Phase 2 (lock-free): resolve each snapshot to a column segment per
+  // interval. Spill-file reads — disk I/O — happen here, where they cannot
+  // stall appends. An unreadable spill degrades the scan instead of failing
+  // it. `order` stamps each segment with its chunk position so tier and raw
+  // segments interleave in time order for the consumer.
+  std::vector<ScanView> views(n);
   for (size_t order = 0; order < snapshots.size(); ++order) {
     ChunkSnapshot& snap = snapshots[order];
     if (snap.tiers != nullptr) {
       const TierColumns& tier = (*snap.tiers)[snap.tier_index];
-      const auto [lo, hi] = tier.WindowRange(interval);
-      if (hi > lo) {
-        view.tier_segments.push_back(
-            {std::shared_ptr<const TierColumns>(snap.tiers, &tier), lo, hi,
-             order});
+      for (const uint32_t k : snap.hits) {
+        const auto [lo, hi] = tier.WindowRange(intervals[k]);
+        if (hi <= lo) continue;
+        views[k].tier_segments.push_back(
+            {std::shared_ptr<const TierColumns>(snap.tiers, &tier), lo, hi, order});
         tier_segments_served_.fetch_add(1, std::memory_order_relaxed);
       }
-    } else if (snap.spilled != nullptr) {
-      if (options_.spill_read_hook_for_testing) options_.spill_read_hook_for_testing();
-      ReadSpillOrQuarantine(snap.spilled, interval, &view, &local, cancel, order);
-    } else if (snap.resident != nullptr) {
-      const auto [lo, hi] = snap.resident->RowRange(interval);
-      if (hi > lo) view.segments.push_back({std::move(snap.resident), lo, hi, order});
+      continue;
+    }
+    std::shared_ptr<const ChunkColumns> columns;
+    if (snap.spilled != nullptr) {
+      Result<std::shared_ptr<const ChunkColumns>> read =
+          ReadSpillOrQuarantine(snap.spilled, cancel, decoded);
+      if (!read.ok()) {
+        // As separate scans would see it: the first interval's read fails,
+        // the later ones find the chunk quarantined.
+        std::string reason = read.status().ToString();
+        for (const uint32_t k : snap.hits) {
+          AddSkipped(&local[k], *snap.spilled, std::move(reason));
+          reason = kQuarantinedEarlier;
+        }
+        continue;
+      }
+      columns = std::move(*read);
     } else {
-      const size_t rows = snap.open_tail->rows();
-      view.segments.push_back({std::move(snap.open_tail), 0, rows, order});
+      columns = snap.resident != nullptr ? std::move(snap.resident)
+                                         : std::move(snap.open_tail);
+    }
+    for (const uint32_t k : snap.hits) {
+      const auto [lo, hi] = columns->RowRange(intervals[k]);
+      if (hi > lo) views[k].segments.push_back({columns, lo, hi, order});
     }
   }
-  if (local.degraded()) {
-    degraded_scans_.fetch_add(1, std::memory_order_relaxed);
-    EXSTREAM_LOG(Warn) << "degraded scan of type " << type << ": "
-                       << local.ToString();
+  for (size_t k = 0; k < n; ++k) {
+    if (local[k].degraded()) {
+      degraded_scans_.fetch_add(1, std::memory_order_relaxed);
+      EXSTREAM_LOG(Warn) << "degraded scan of type " << type << ": "
+                         << local[k].ToString();
+    }
+    if (degradations != nullptr) (*degradations)[k].Merge(local[k]);
   }
-  if (degradation != nullptr) degradation->Merge(local);
-  return view;
+  return views;
 }
 
 Result<std::vector<Event>> EventArchive::Scan(EventTypeId type,
@@ -301,12 +359,22 @@ Result<std::vector<Event>> EventArchive::Scan(EventTypeId type,
   return out;
 }
 
-void EventArchive::ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
-                                         const TimeInterval& interval,
-                                         ScanView* view,
-                                         DegradationReport* degradation,
-                                         const CancelToken* cancel,
-                                         size_t order) const {
+Result<std::shared_ptr<const ChunkColumns>> EventArchive::ReadSpillOrQuarantine(
+    const std::shared_ptr<Chunk>& chunk, const CancelToken* cancel,
+    DecodedChunks* decoded) const {
+  // With a memo, the entry lock is held across the one read, so a scan
+  // racing for the same chunk waits for it instead of reading twice.
+  std::shared_ptr<DecodedChunks::Entry> entry;
+  std::unique_lock<std::mutex> entry_lock;
+  if (decoded != nullptr) {
+    entry = decoded->EntryFor(chunk);
+    entry_lock = std::unique_lock<std::mutex>(entry->mu);
+    if (entry->done) {
+      if (!entry->status.ok()) return entry->status;
+      return entry->columns;
+    }
+  }
+  if (options_.spill_read_hook_for_testing) options_.spill_read_hook_for_testing();
   Result<ChunkColumns> columns = ChunkColumns{};
   size_t retries = 0;
   // IOError is transient (flaky device, momentary open failure) and worth the
@@ -321,32 +389,30 @@ void EventArchive::ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
       },
       [](const Status& s) { return s.IsIOError(); }, &retries, cancel);
   spill_read_retries_.fetch_add(retries, std::memory_order_relaxed);
+  std::shared_ptr<const ChunkColumns> loaded;
   if (read.ok()) {
-    auto loaded = std::make_shared<const ChunkColumns>(std::move(*columns));
-    const auto [lo, hi] = loaded->RowRange(interval);
-    if (hi > lo) view->segments.push_back({std::move(loaded), lo, hi, order});
-    return;
-  }
-  if (chunk->MarkQuarantined()) {
-    quarantined_chunks_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.spill_dir.has_value()) {
-      const Result<size_t> evicted =
-          EnforceQuarantineCap(*options_.spill_dir, options_.max_quarantine_files);
-      if (evicted.ok() && *evicted > 0) {
-        quarantine_evictions_.fetch_add(*evicted, std::memory_order_relaxed);
+    loaded = std::make_shared<const ChunkColumns>(std::move(*columns));
+  } else {
+    if (chunk->MarkQuarantined()) {
+      quarantined_chunks_.fetch_add(1, std::memory_order_relaxed);
+      if (options_.spill_dir.has_value()) {
+        const Result<size_t> evicted =
+            EnforceQuarantineCap(*options_.spill_dir, options_.max_quarantine_files);
+        if (evicted.ok() && *evicted > 0) {
+          quarantine_evictions_.fetch_add(*evicted, std::memory_order_relaxed);
+        }
       }
     }
+    EXSTREAM_LOG(Warn) << "spill read failed, chunk quarantined as "
+                       << chunk->spill_path() << ".quarantine: " << read.ToString();
   }
-  EXSTREAM_LOG(Warn) << "spill read failed, chunk quarantined as "
-                     << chunk->spill_path() << ".quarantine: " << read.ToString();
-  DegradationReport::SkippedChunk sk;
-  sk.type = chunk->type();
-  sk.spill_path = chunk->spill_path();
-  sk.events_lost = chunk->size();
-  sk.reason = read.ToString();
-  degradation->skipped.push_back(std::move(sk));
-  degradation->events_lost_estimate += chunk->size();
-  ++degradation->coverage[chunk->type()].chunks_skipped;
+  if (entry != nullptr) {
+    entry->done = true;
+    entry->columns = loaded;
+    entry->status = read;
+  }
+  if (!read.ok()) return read;
+  return loaded;
 }
 
 Result<std::vector<EventArchive::TypeScan>> EventArchive::ScanAll(

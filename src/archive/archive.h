@@ -13,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "archive/chunk.h"
@@ -55,10 +56,40 @@ struct ArchiveOptions {
   /// pushes the count past this, the oldest are deleted (triage keeps the
   /// newest evidence, disk usage stays bounded).
   size_t max_quarantine_files = 64;
-  /// Test-only: invoked by Scan once per spill-file read, after the shard
-  /// lock is released and before the disk read. Lets tests prove that slow
-  /// spill I/O cannot block concurrent Appends.
+  /// Test-only: invoked once per spill-file read, after the shard lock is
+  /// released and before the disk read. Lets tests prove that slow spill I/O
+  /// cannot block concurrent Appends, and count disk reads.
   std::function<void()> spill_read_hook_for_testing;
+};
+
+/// \brief The spilled chunks one analysis has decoded, so that every scan of
+/// that analysis reads and decodes a spilled chunk at most once.
+///
+/// Scope one to a single analysis (an Explain) and pass it to each of its
+/// scans: it pins every chunk it decoded until it is destroyed. A chunk whose
+/// read failed is remembered as failed (it is quarantined by then). Spilled
+/// chunks are immutable, so a memoized decode is byte-identical to a fresh
+/// one. Thread-safe: concurrent scans of the same chunk wait for one decode.
+class DecodedChunks {
+ public:
+  DecodedChunks() = default;
+  DecodedChunks(const DecodedChunks&) = delete;
+  DecodedChunks& operator=(const DecodedChunks&) = delete;
+
+ private:
+  friend class EventArchive;
+  struct Entry {
+    std::mutex mu;  ///< held across the one decode
+    bool done = false;
+    std::shared_ptr<const ChunkColumns> columns;  ///< null when the read failed
+    Status status;
+  };
+  /// The entry of `chunk`, created on first use.
+  std::shared_ptr<Entry> EntryFor(const std::shared_ptr<Chunk>& chunk);
+
+  std::mutex mu_;
+  /// Keyed by chunk handle, which keeps the chunk alive (no address reuse).
+  std::unordered_map<std::shared_ptr<Chunk>, std::shared_ptr<Entry>> entries_;
 };
 
 /// \brief Chunked, time-indexed store of all archived events.
@@ -117,6 +148,25 @@ class EventArchive : public EventSink {
                                DegradationReport* degradation = nullptr,
                                const CancelToken* cancel = nullptr,
                                Timestamp resolution = 0) const;
+
+  /// \brief ScanColumns over several intervals in one pass: `views[k]` holds
+  /// the same rows, tier windows and per-interval accounting a ScanColumns
+  /// call on `intervals[k]` would return. ScanColumns is the one-interval
+  /// call of this function. Intervals may come in any order and may repeat,
+  /// overlap or abut.
+  ///
+  /// The type's chunk list is walked once under the shard lock. Each chunk
+  /// overlapping any interval is taken once: the open chunk is sliced once
+  /// (over the union of the intervals' rows); a spilled chunk is read and
+  /// decoded once, or taken from `decoded` when a scan of the same analysis
+  /// already decoded it. When non-null, `degradations` must hold one report
+  /// per interval; each receives what its own scan would have skipped
+  /// (chunks overlapping several intervals count once per interval).
+  Result<std::vector<ScanView>> ScanIntervals(
+      EventTypeId type, const std::vector<TimeInterval>& intervals,
+      std::vector<DegradationReport>* degradations = nullptr,
+      const CancelToken* cancel = nullptr, Timestamp resolution = 0,
+      DecodedChunks* decoded = nullptr) const;
 
   /// \brief All events of `type` with ts in the interval, in time order, as
   /// materialized rows. Compatibility shim over ScanColumns: each event is
@@ -230,13 +280,15 @@ class EventArchive : public EventSink {
   };
 
   /// A scan's view of one overlapping chunk, captured under the shard lock.
-  /// Exactly one of resident / spilled / open_tail / tiers is populated.
+  /// Exactly one of resident / spilled / open_tail / tiers is populated; an
+  /// open tail holds the rows of every interval in `hits`.
   struct ChunkSnapshot {
     std::shared_ptr<const ChunkColumns> resident;  ///< sealed, in memory (pinned)
     std::shared_ptr<Chunk> spilled;  ///< sealed, on disk (read outside the lock)
     std::shared_ptr<const ChunkColumns> open_tail;  ///< open chunk: in-range rows, copied
     std::shared_ptr<const ChunkTiers> tiers;  ///< sealed, answered from a tier
     int tier_index = -1;                      ///< which tier of `tiers`
+    std::vector<uint32_t> hits;  ///< indexes of the intervals the chunk overlaps
   };
 
   Status AppendLocked(Shard* shard, const Event& event);
@@ -248,13 +300,12 @@ class EventArchive : public EventSink {
   /// `tier0_retention_chunks`, keeping their tiers. Runs under the shard lock
   /// after spill housekeeping.
   void EnforceTierRetentionLocked(Shard* shard);
-  /// Reads one spilled chunk's columns with retries; on terminal failure
-  /// quarantines it and records the loss in `degradation`. Appends the
-  /// in-range segment to `view` on success.
-  void ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
-                             const TimeInterval& interval, ScanView* view,
-                             DegradationReport* degradation,
-                             const CancelToken* cancel, size_t order) const;
+  /// Reads one spilled chunk's columns with retries, or takes them from
+  /// `decoded` (may be null) when this analysis already read the chunk. On
+  /// terminal failure quarantines the chunk and returns the read error.
+  Result<std::shared_ptr<const ChunkColumns>> ReadSpillOrQuarantine(
+      const std::shared_ptr<Chunk>& chunk, const CancelToken* cancel,
+      DecodedChunks* decoded) const;
 
   const EventTypeRegistry* registry_;  // not owned
   ArchiveOptions options_;

@@ -297,13 +297,17 @@ void CepEngine::RebuildRouteIndex() {
 
 void CepEngine::PrepareKeys(const Event* events, size_t n) {
   if (route_index_dirty_) RebuildRouteIndex();
-  for (RouteClass& rc : classes_) {
+  // Only the classes the previous call touched hold per-call lists, so a
+  // one-event call costs the classes of its type, not all classes.
+  for (const uint16_t c : call_classes_) {
+    RouteClass& rc = classes_[c];
     rc.events.clear();
     rc.event_keys.clear();
     rc.new_keys.clear();
     for (const uint32_t key : rc.call_keys) rc.key_events[key].clear();
     rc.call_keys.clear();
   }
+  call_classes_.clear();
   spec_keys_.resize(specs_.size());
   for (uint32_t i = 0; i < n; ++i) {
     const Event& e = events[i];
@@ -326,6 +330,7 @@ void CepEngine::PrepareKeys(const Event* events, size_t n) {
     }
     for (const uint16_t c : classes_by_type_[e.type]) {
       RouteClass& rc = classes_[c];
+      if (rc.events.empty()) call_classes_.push_back(c);
       const uint16_t r = rc.route[e.type];
       const uint32_t key = r == kRouteEmptyKey ? 0 : spec_keys_[r - kRouteSpecBase];
       if (rc.seen.size() <= key) rc.seen.resize(spaces_[rc.space].keys.size(), 0);
@@ -345,14 +350,16 @@ void CepEngine::PrepareKeys(const Event* events, size_t n) {
       rc.event_keys.push_back(key);
     }
   }
+  // Ingest visits the touched classes in class order.
+  std::sort(call_classes_.begin(), call_classes_.end());
 }
 
 void CepEngine::Ingest(const Event* events, size_t n) {
   if (n == 0) return;
   events_processed_ += n;
   PrepareKeys(events, n);
-  for (RouteClass& rc : classes_) {
-    if (rc.events.empty()) continue;
+  for (const uint16_t c : call_classes_) {
+    RouteClass& rc = classes_[c];
     for (const uint32_t gi : rc.scan) ScanPass(*groups_[gi], rc, events);
     // Synced groups hold every key the class saw before this call, so the
     // keys new to the class are exactly the keys new to them, in the same

@@ -267,7 +267,8 @@ class CepEngine : public EventSink {
     std::vector<uint32_t> synced;    ///< pinned groups indexed by key
     std::vector<std::vector<uint32_t>> watchers;  ///< key id -> synced groups live on it
 
-    // Per-ingest-call lists, refilled by PrepareKeys.
+    // Per-ingest-call lists, refilled by PrepareKeys (empty unless the class
+    // is in call_classes_).
     std::vector<uint32_t> events;      ///< relevant event indexes, stream order
     std::vector<uint32_t> event_keys;  ///< key id of each entry of `events`
     std::vector<uint32_t> new_keys;    ///< positions in `events` of first-seen keys
@@ -291,7 +292,8 @@ class CepEngine : public EventSink {
   /// The one ingest path: OnEvent is a call with n == 1.
   void Ingest(const Event* events, size_t n);
 
-  /// Interns each event's keys once and fills every route class's lists.
+  /// Interns each event's keys once and fills the lists of the route classes
+  /// that want the events (recorded in call_classes_).
   void PrepareKeys(const Event* events, size_t n);
 
   /// Rebuilds classes_by_type_ from classes_ when stale.
@@ -350,6 +352,9 @@ class CepEngine : public EventSink {
   // instead of being rescanned per call.
   std::vector<RouteClass> classes_;
   std::vector<std::vector<uint16_t>> classes_by_type_;
+  /// Classes with events in the current (or last) ingest call, ascending:
+  /// the only ones whose per-call lists are non-empty.
+  std::vector<uint16_t> call_classes_;
   bool route_index_dirty_ = false;
 
   // Multi-query merge plan.

@@ -1,6 +1,7 @@
 #include "explain/engine.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -46,13 +47,17 @@ Result<ExplanationReport> ExplanationEngine::Explain(
                                 : CancelToken();
   const CancelToken* cancel = options_.deadline_ms > 0 ? &token : nullptr;
 
+  // Every scan of this Explain — ranking and validation — reads and decodes
+  // a spilled chunk at most once.
+  DecodedChunks decoded;
+
   // Rank every feature in the space by entropy reward over (I_A, I_R).
   EXSTREAM_ASSIGN_OR_RETURN(
       report.ranked, ComputeFeatureRewards(builder_, specs_, annotation.abnormal.range,
                                            annotation.reference.range,
                                            options_.min_support, pool_.get(), cancel,
                                            &report.degradation,
-                                           options_.tiered_reference_scans));
+                                           options_.tiered_reference_scans, &decoded));
 
   // Step 1: reward-leap filtering.
   report.after_leap = RewardLeapFilter(report.ranked, options_.leap);
@@ -65,7 +70,7 @@ Result<ExplanationReport> ExplanationEngine::Explain(
 
   // Step 2: false-positive filtering on related partitions.
   if (options_.enable_validation && partitions_ != nullptr && series_provider_) {
-    EXSTREAM_RETURN_NOT_OK(RunValidation(annotation, &report, cancel));
+    EXSTREAM_RETURN_NOT_OK(RunValidation(annotation, &report, cancel, &decoded));
   } else {
     for (const RankedFeature& f : report.after_leap) {
       ValidatedFeature v;
@@ -101,7 +106,8 @@ Result<ExplanationReport> ExplanationEngine::Explain(
 
 Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
                                         ExplanationReport* report,
-                                        const CancelToken* cancel) const {
+                                        const CancelToken* cancel,
+                                        DecodedChunks* decoded) const {
   // Gather the labeled interval pools, starting with the annotations.
   std::vector<TimeInterval> abnormal_intervals = {annotation.abnormal.range};
   std::vector<TimeInterval> reference_intervals = {annotation.reference.range};
@@ -109,10 +115,20 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
   auto annotated_rec =
       partitions_->Get(annotation.abnormal.query, annotation.abnormal.partition);
   if (annotated_rec.ok()) {
-    auto abn_series_r = series_provider_(annotation.abnormal.query,
-                                         annotation.abnormal.partition);
-    auto ref_series_r = series_provider_(annotation.reference.query,
-                                         annotation.reference.partition);
+    const Result<TimeSeries> abn_series_r = series_provider_(
+        annotation.abnormal.query, annotation.abnormal.partition);
+    // The reference usually lies in the abnormal partition (Sec. 2.1): its
+    // series is then fetched once.
+    const bool same_partition =
+        annotation.reference.query == annotation.abnormal.query &&
+        annotation.reference.partition == annotation.abnormal.partition;
+    std::optional<Result<TimeSeries>> ref_fetched;
+    if (!same_partition) {
+      ref_fetched = series_provider_(annotation.reference.query,
+                                     annotation.reference.partition);
+    }
+    const Result<TimeSeries>& ref_series_r =
+        same_partition ? abn_series_r : *ref_fetched;
     if (abn_series_r.ok() && ref_series_r.ok()) {
       const TimeSeries& abn_series = *abn_series_r;
       const TimeSeries& ref_series = *ref_series_r;
@@ -238,52 +254,76 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
   survivor_specs.reserve(report->after_leap.size());
   for (const RankedFeature& f : report->after_leap) survivor_specs.push_back(f.spec);
 
-  std::vector<std::vector<double>> abnormal_pool(survivor_specs.size());
-  std::vector<std::vector<double>> reference_pool(survivor_specs.size());
-  auto accumulate = [&](const std::vector<TimeInterval>& intervals,
-                        std::vector<std::vector<double>>* value_pool,
-                        bool allow_tiers) -> Status {
-    // Materialize the survivor features of every labeled interval in
-    // parallel, then merge in interval order so each feature's pooled value
-    // sequence matches the serial run exactly. With a single interval the
-    // parallelism moves inside Build instead.
-    std::vector<Result<std::vector<Feature>>> per_interval(intervals.size(),
-                                                           std::vector<Feature>{});
-    if (intervals.size() == 1) {
-      per_interval[0] = builder_.Build(survivor_specs, intervals[0], pool_.get(),
-                                       cancel, &report->degradation, allow_tiers);
-    } else {
-      // Each parallel Build gets a private degradation slot; merged in order
-      // below so the report stays deterministic.
-      std::vector<DegradationReport> per_degradation(intervals.size());
-      ParallelFor(pool_.get(), intervals.size(), [&](size_t k) {
-        per_interval[k] = builder_.Build(survivor_specs, intervals[k], nullptr,
-                                         cancel, &per_degradation[k], allow_tiers);
-      }, cancel);
-      for (const DegradationReport& d : per_degradation) {
-        report->degradation.Merge(d);
-      }
+  // The pools start with the annotated pair, whose survivor series the rank
+  // stage already built: abnormal side exact, reference side with the same
+  // tier setting. A tiered reference build of the survivors alone scans a
+  // type at the gcd of the survivors' windows, so the rank stage's reference
+  // series are reused only where that resolution matches the full space's.
+  const bool tiered =
+      options_.tiered_reference_scans && !options_.use_legacy_row_scan;
+  bool reuse_reference = true;
+  for (const FeatureSpec& spec : survivor_specs) {
+    if (!tiered || spec.agg == AggregateKind::kRaw || spec.window <= 0) continue;
+    if (TieredScanResolution(survivor_specs, spec.type) !=
+        TieredScanResolution(specs_, spec.type)) {
+      reuse_reference = false;
     }
-    for (auto& feats_r : per_interval) {
-      EXSTREAM_RETURN_NOT_OK(feats_r.status());
-      const std::vector<Feature>& feats = *feats_r;
-      for (size_t i = 0; i < feats.size(); ++i) {
-        const auto& vals = feats[i].series.values();
-        (*value_pool)[i].insert((*value_pool)[i].end(), vals.begin(), vals.end());
-      }
-    }
+  }
+
+  // Every other labeled interval is built in one pass: one scan per (event
+  // type, scan slot) for all of them. The reused pair is scanned too, for
+  // its degradation accounting only, so the report counts what separate
+  // per-interval builds would have.
+  const size_t num_abnormal = abnormal_intervals.size();
+  std::vector<TimeInterval> intervals = abnormal_intervals;
+  intervals.insert(intervals.end(), reference_intervals.begin(),
+                   reference_intervals.end());
+  std::vector<char> materialize(intervals.size(), 1);
+  materialize[0] = 0;
+  materialize[num_abnormal] = reuse_reference ? 0 : 1;
+  std::vector<std::vector<Feature>> built;
+  auto build = [&](size_t lo, size_t hi, bool allow_tiers) -> Status {
+    EXSTREAM_ASSIGN_OR_RETURN(
+        std::vector<std::vector<Feature>> part,
+        builder_.BuildIntervals(
+            survivor_specs,
+            std::vector<TimeInterval>(intervals.begin() + lo, intervals.begin() + hi),
+            std::vector<char>(materialize.begin() + lo, materialize.begin() + hi),
+            pool_.get(), cancel, &report->degradation, allow_tiers, decoded));
+    for (auto& feats : part) built.push_back(std::move(feats));
     return Status::OK();
   };
-  // Abnormal pools always fold exact rows (the explanation's abnormal side
-  // must be bit-identical to raw); reference pools may take the tiered path.
-  EXSTREAM_RETURN_NOT_OK(accumulate(abnormal_intervals, &abnormal_pool, false));
-  EXSTREAM_RETURN_NOT_OK(accumulate(reference_intervals, &reference_pool,
-                                    options_.tiered_reference_scans));
+  if (tiered) {
+    // Abnormal pools always fold exact rows (the explanation's abnormal side
+    // must be bit-identical to raw); reference pools may take the tiered
+    // path, so the two sides scan apart.
+    EXSTREAM_RETURN_NOT_OK(build(0, num_abnormal, false));
+    EXSTREAM_RETURN_NOT_OK(build(num_abnormal, intervals.size(), true));
+  } else {
+    EXSTREAM_RETURN_NOT_OK(build(0, intervals.size(), false));
+  }
   if (cancel != nullptr && cancel->Expired()) {
     return Status::DeadlineExceeded(StrFormat(
         "deadline exceeded while pooling labeled intervals (%zu abnormal, "
         "%zu reference)",
         abnormal_intervals.size(), reference_intervals.size()));
+  }
+
+  // Pool each survivor's values in interval order, as one Build per
+  // labeled interval would.
+  std::vector<std::vector<double>> abnormal_pool(survivor_specs.size());
+  std::vector<std::vector<double>> reference_pool(survivor_specs.size());
+  for (size_t i = 0; i < survivor_specs.size(); ++i) {
+    const RankedFeature& annotated = report->after_leap[i];
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      const bool abnormal_side = k < num_abnormal;
+      const TimeSeries& series =
+          materialize[k] ? built[k][i].series
+          : abnormal_side ? annotated.abnormal_series
+                          : annotated.reference_series;
+      std::vector<double>& pool = abnormal_side ? abnormal_pool[i] : reference_pool[i];
+      pool.insert(pool.end(), series.values().begin(), series.values().end());
+    }
   }
 
   std::vector<ValidatedFeature> validated(report->after_leap.size());

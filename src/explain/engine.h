@@ -137,7 +137,8 @@ class ExplanationEngine {
 
  private:
   Status RunValidation(const AnomalyAnnotation& annotation,
-                       ExplanationReport* report, const CancelToken* cancel) const;
+                       ExplanationReport* report, const CancelToken* cancel,
+                       DecodedChunks* decoded) const;
 
   const EventArchive* archive_;       // not owned
   const PartitionTable* partitions_;  // not owned, may be null

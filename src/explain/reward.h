@@ -41,12 +41,14 @@ struct RankedFeature {
 /// \param tiered_reference when true, the reference-interval build may fold
 ///        from archive tiers (FeatureBuilder::Build allow_tiers); the
 ///        abnormal interval always reads exact rows
+/// \param decoded when non-null, memoizes spilled-chunk decodes across both
+///        builds (and any later scans of the same analysis)
 Result<std::vector<RankedFeature>> ComputeFeatureRewards(
     const FeatureBuilder& builder, const std::vector<FeatureSpec>& specs,
     const TimeInterval& abnormal, const TimeInterval& reference,
     size_t min_support = 5, ThreadPool* pool = nullptr,
     const CancelToken* cancel = nullptr, DegradationReport* degradation = nullptr,
-    bool tiered_reference = false);
+    bool tiered_reference = false, DecodedChunks* decoded = nullptr);
 
 /// \brief Reward computation on pre-built, aligned feature vectors. Takes the
 /// features by value and moves their series into the ranked output (pass

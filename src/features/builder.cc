@@ -207,16 +207,40 @@ Result<TimeSeries> TieredAggregate(const ScanView& view, const FeatureSpec& spec
 
 }  // namespace
 
+Timestamp TieredScanResolution(const std::vector<FeatureSpec>& specs,
+                               EventTypeId type) {
+  Timestamp resolution = 0;
+  for (const FeatureSpec& spec : specs) {
+    if (spec.type == type && spec.agg != AggregateKind::kRaw && spec.window > 0) {
+      resolution = std::gcd(resolution, spec.window);
+    }
+  }
+  return resolution;
+}
+
 Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec>& specs,
                                                    const TimeInterval& interval,
                                                    ThreadPool* pool,
                                                    const CancelToken* cancel,
                                                    DegradationReport* degradation,
-                                                   bool allow_tiers) const {
-  // Stage 1: scan each referenced event type once (spilled chunks mean disk
-  // I/O, so the scans themselves are worth parallelizing). Each slot gets its
-  // own degradation report; the serial merge below keeps accumulation
-  // deterministic.
+                                                   bool allow_tiers,
+                                                   DecodedChunks* decoded) const {
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Feature>> out,
+      BuildIntervals(specs, {interval}, {1}, pool, cancel, degradation, allow_tiers,
+                     decoded));
+  return std::move(out[0]);
+}
+
+Result<std::vector<std::vector<Feature>>> FeatureBuilder::BuildIntervals(
+    const std::vector<FeatureSpec>& specs, const std::vector<TimeInterval>& intervals,
+    const std::vector<char>& materialize, ThreadPool* pool, const CancelToken* cancel,
+    DegradationReport* degradation, bool allow_tiers, DecodedChunks* decoded) const {
+  const size_t n = intervals.size();
+  // Stage 1: scan each referenced event type once for all intervals (spilled
+  // chunks mean disk I/O, so the scans themselves are worth parallelizing).
+  // Each (slot, interval) gets its own degradation report; the serial merge
+  // below keeps accumulation deterministic.
   // Slot assignment is array-based rather than hashed: spec lists repeat a
   // handful of types, so a linear probe over the dedup list beats hashing,
   // and the per-spec slot vectors make the later stages straight lookups.
@@ -247,60 +271,73 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
     spec_scan[i] = slot;
   }
   std::vector<Timestamp> scan_resolution(scan_types.size(), 0);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const size_t slot = spec_scan[i];
-    if (scan_wants_tier[slot]) {
-      scan_resolution[slot] = std::gcd(scan_resolution[slot], specs[i].window);
-    }
+  for (size_t s = 0; s < scan_types.size(); ++s) {
+    if (scan_wants_tier[s]) scan_resolution[s] = TieredScanResolution(specs, scan_types[s]);
   }
-  std::vector<Result<ScanView>> views(scan_types.size(), ScanView{});
-  std::vector<Result<std::vector<Event>>> row_scans(
-      use_legacy_row_scan_ ? scan_types.size() : 0, std::vector<Event>{});
-  std::vector<DegradationReport> scan_degradation(scan_types.size());
+  // The intervals to build, in order.
+  std::vector<size_t> built_intervals;
+  for (size_t k = 0; k < n; ++k) {
+    if (materialize[k]) built_intervals.push_back(k);
+  }
+  const size_t nb = built_intervals.size();
+
+  // views[s][k]: slot s's scan of interval k. The legacy row path
+  // materializes each built interval's rows from the same views
+  // (rows[s][b]).
+  std::vector<Result<std::vector<ScanView>>> views(scan_types.size(),
+                                                   std::vector<ScanView>{});
+  std::vector<std::vector<std::vector<Event>>> rows(
+      use_legacy_row_scan_ ? scan_types.size() : 0);
+  std::vector<std::vector<DegradationReport>> scan_degradation(
+      scan_types.size(), std::vector<DegradationReport>(n));
   const size_t scans_done = ParallelFor(
       pool, scan_types.size(),
-      [&](size_t i) {
-        DegradationReport* deg =
-            degradation != nullptr ? &scan_degradation[i] : nullptr;
+      [&](size_t s) {
+        std::vector<DegradationReport>* deg =
+            degradation != nullptr ? &scan_degradation[s] : nullptr;
         if (use_legacy_row_scan_) {
-          row_scans[i] = archive_->Scan(scan_types[i], interval, deg, cancel);
-        } else if (recent_ != nullptr && scan_resolution[i] == 0) {
+          views[s] = archive_->ScanIntervals(scan_types[s], intervals, deg, cancel,
+                                             /*resolution=*/0, decoded);
+          if (!views[s].ok()) return;
+          rows[s].resize(nb);
+          for (size_t b = 0; b < nb; ++b) {
+            const ScanView& view = (*views[s])[built_intervals[b]];
+            rows[s][b].reserve(view.rows());
+            view.MaterializeEvents(&rows[s][b]);
+          }
+        } else if (recent_ != nullptr && scan_resolution[s] == 0) {
           // Exact-resolution scans may be served from the incremental tail
           // (cold prefixes backfill from the archive inside). Tiered slots
           // stay on the archive: a tier answer is not reproducible from the
           // raw tail without re-running the tier fold.
-          views[i] = recent_->ScanWithBackfill(*archive_, scan_types[i],
-                                               interval, deg, cancel);
+          views[s] = recent_->ScanIntervalsWithBackfill(*archive_, scan_types[s],
+                                                        intervals, deg, cancel,
+                                                        decoded);
         } else {
-          views[i] = archive_->ScanColumns(scan_types[i], interval, deg, cancel,
-                                           scan_resolution[i]);
+          views[s] = archive_->ScanIntervals(scan_types[s], intervals, deg, cancel,
+                                             scan_resolution[s], decoded);
         }
       },
       cancel);
   if (degradation != nullptr) {
-    for (const DegradationReport& d : scan_degradation) degradation->Merge(d);
+    for (size_t k = 0; k < n; ++k) {
+      for (const auto& per_slot : scan_degradation) degradation->Merge(per_slot[k]);
+    }
   }
   if (cancel != nullptr && cancel->Expired()) {
     return Status::DeadlineExceeded(
         StrFormat("feature build cancelled during archive scans (%zu/%zu types)",
                   scans_done, scan_types.size()));
   }
-  if (use_legacy_row_scan_) {
-    for (const auto& scan : row_scans) EXSTREAM_RETURN_NOT_OK(scan.status());
-  } else {
-    for (const auto& view : views) EXSTREAM_RETURN_NOT_OK(view.status());
-  }
-  // A slot is tiered iff at least one chunk actually answered from a tier;
-  // otherwise the view is raw-only and the classic fold below stays
-  // bit-identical to an allow_tiers=false build.
-  std::vector<char> slot_tiered(scan_types.size(), 0);
-  if (!use_legacy_row_scan_) {
-    for (size_t s = 0; s < views.size(); ++s) {
-      slot_tiered[s] = views[s]->tier_segments.empty() ? 0 : 1;
-    }
-  }
+  for (const auto& view : views) EXSTREAM_RETURN_NOT_OK(view.status());
+  // A slot's scan of an interval is tiered iff at least one chunk actually
+  // answered from a tier; otherwise the view is raw-only and the classic fold
+  // below stays bit-identical to an allow_tiers=false build.
+  auto tiered = [&](size_t s, size_t k) {
+    return !(*views[s])[k].tier_segments.empty();
+  };
 
-  // Stage 2: derive each (type, attr) raw series once.
+  // Stage 2: derive each (type, attr) raw series once per interval.
   std::vector<std::pair<size_t, size_t>> raw_pairs;  // (scan slot, attr)
   std::vector<size_t> spec_raw(specs.size());
   std::vector<std::vector<int64_t>> attr_slot(scan_types.size());
@@ -314,71 +351,79 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
     }
     spec_raw[i] = static_cast<size_t>(slots[attr]);
   }
-  std::vector<TimeSeries> raws(raw_pairs.size());
-  const size_t raws_done = ParallelFor(
-      pool, raw_pairs.size(),
-      [&](size_t i) {
-        const auto& [s, attr] = raw_pairs[i];
-        if (!use_legacy_row_scan_ && slot_tiered[s]) return;  // folded in stage 3
-        raws[i] = use_legacy_row_scan_ ? RawSeries(*row_scans[s], attr)
-                                       : RawSeriesFromView(*views[s], attr);
-      },
-      cancel);
-  if (cancel != nullptr && cancel->Expired()) {
-    return Status::DeadlineExceeded(
-        StrFormat("feature build cancelled during raw-series derivation (%zu/%zu)",
-                  raws_done, raw_pairs.size()));
-  }
+  // Stages 2 and 3 run interval by interval, so only one interval's raw
+  // series are alive at a time.
+  const size_t np = raw_pairs.size();
+  const size_t ns = specs.size();
+  std::vector<std::vector<Feature>> out(n);
+  for (size_t b = 0; b < nb; ++b) {
+    const size_t k = built_intervals[b];
+    const TimeInterval& interval = intervals[k];
+    std::vector<TimeSeries> raws(np);
+    const size_t raws_done = ParallelFor(
+        pool, np,
+        [&](size_t p) {
+          const auto& [s, attr] = raw_pairs[p];
+          if (tiered(s, k)) return;  // folded in stage 3
+          raws[p] = use_legacy_row_scan_ ? RawSeries(rows[s][b], attr)
+                                         : RawSeriesFromView((*views[s])[k], attr);
+        },
+        cancel);
+    if (cancel != nullptr && cancel->Expired()) {
+      return Status::DeadlineExceeded(
+          StrFormat("feature build cancelled during raw-series derivation (%zu/%zu)",
+                    raws_done, np));
+    }
 
-  // Stage 3: one aggregate per spec, into its own slot.
-  std::vector<Result<Feature>> built(specs.size(), Feature{});
-  const size_t built_done = ParallelFor(pool, specs.size(), [&](size_t i) {
-    const FeatureSpec& s = specs[i];
-    const TimeSeries& raw = raws[spec_raw[i]];
-    Feature f;
-    f.spec = s;
-    if (!use_legacy_row_scan_ && slot_tiered[spec_scan[i]]) {
-      // Tiered slots never carry raw specs (those pin the scan to exact
-      // rows), so every spec here folds windows straight off the view.
-      auto series = TieredAggregate(*views[spec_scan[i]], s, interval);
-      if (!series.ok()) {
-        built[i] = series.status();
+    // Stage 3: one aggregate per spec, into its own slot.
+    std::vector<Result<Feature>> built(ns, Feature{});
+    const size_t built_done = ParallelFor(pool, ns, [&](size_t i) {
+      const FeatureSpec& s = specs[i];
+      const TimeSeries& raw = raws[spec_raw[i]];
+      Feature f;
+      f.spec = s;
+      if (tiered(spec_scan[i], k)) {
+        // Tiered slots never carry raw specs (those pin the scan to exact
+        // rows), so every spec here folds windows straight off the view.
+        auto series = TieredAggregate((*views[spec_scan[i]])[k], s, interval);
+        if (!series.ok()) {
+          built[i] = series.status();
+          return;
+        }
+        f.series = std::move(*series);
+        built[i] = std::move(f);
         return;
       }
-      f.series = std::move(*series);
+      if (s.agg == AggregateKind::kRaw) {
+        f.series = raw;
+      } else if (s.agg == AggregateKind::kCount) {
+        auto series = CountOverInterval(raw, s.window, interval);
+        if (!series.ok()) {
+          built[i] = series.status();
+          return;
+        }
+        f.series = std::move(*series);
+      } else {
+        auto series = ApplyWindowAggregate(raw, s.agg, s.window);
+        if (!series.ok()) {
+          built[i] = series.status();
+          return;
+        }
+        f.series = std::move(*series);
+      }
       built[i] = std::move(f);
-      return;
+    }, cancel);
+    if (cancel != nullptr && cancel->Expired()) {
+      return Status::DeadlineExceeded(
+          StrFormat("feature build cancelled during aggregation (%zu/%zu specs)",
+                    built_done, ns));
     }
-    if (s.agg == AggregateKind::kRaw) {
-      f.series = raw;
-    } else if (s.agg == AggregateKind::kCount) {
-      auto series = CountOverInterval(raw, s.window, interval);
-      if (!series.ok()) {
-        built[i] = series.status();
-        return;
-      }
-      f.series = std::move(*series);
-    } else {
-      auto series = ApplyWindowAggregate(raw, s.agg, s.window);
-      if (!series.ok()) {
-        built[i] = series.status();
-        return;
-      }
-      f.series = std::move(*series);
+    std::vector<Feature>& feats = out[k];
+    feats.reserve(ns);
+    for (Result<Feature>& f : built) {
+      EXSTREAM_RETURN_NOT_OK(f.status());
+      feats.push_back(std::move(*f));
     }
-    built[i] = std::move(f);
-  }, cancel);
-  if (cancel != nullptr && cancel->Expired()) {
-    return Status::DeadlineExceeded(
-        StrFormat("feature build cancelled during aggregation (%zu/%zu specs)",
-                  built_done, specs.size()));
-  }
-
-  std::vector<Feature> out;
-  out.reserve(specs.size());
-  for (auto& b : built) {
-    EXSTREAM_RETURN_NOT_OK(b.status());
-    out.push_back(std::move(*b));
   }
   return out;
 }

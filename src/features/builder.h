@@ -14,11 +14,19 @@
 
 namespace exstream {
 
+/// \brief The resolution a tiered build of `specs` declares for `type`'s
+/// aggregate scan: the gcd of the windows of `type`'s fixed-window aggregate
+/// specs (0 when it has none). Two spec lists with equal resolutions for a
+/// type get the same tiered scan of it, hence the same features.
+Timestamp TieredScanResolution(const std::vector<FeatureSpec>& specs,
+                               EventTypeId type);
+
 /// \brief Builds feature time series by replaying archived events.
 ///
-/// Events of each (type, attribute) pair are scanned once per interval and
-/// shared across all aggregates/windows derived from that pair, so the
-/// archive read amplification is independent of the feature-space size.
+/// Events of each (type, attribute) pair are scanned once per build (for
+/// all of its intervals) and shared across all aggregates/windows derived
+/// from that pair, so the archive read amplification is independent of the
+/// feature-space size and of the number of intervals.
 ///
 /// By default scans go through the archive's columnar ScanView path: raw
 /// series are folded straight off pinned ts/value column spans, with no
@@ -68,12 +76,35 @@ class FeatureBuilder {
   /// reference-interval pools) and never for the abnormal interval, whose
   /// explanation must be bit-identical to raw. A scan whose chunks carry no
   /// aligned tier silently takes the exact path.
+  ///
+  /// `decoded`, when non-null, memoizes spilled-chunk decodes across the
+  /// scans of one analysis (see DecodedChunks). Build is the one-interval
+  /// call of BuildIntervals.
   Result<std::vector<Feature>> Build(const std::vector<FeatureSpec>& specs,
                                      const TimeInterval& interval,
                                      ThreadPool* pool = nullptr,
                                      const CancelToken* cancel = nullptr,
                                      DegradationReport* degradation = nullptr,
-                                     bool allow_tiers = false) const;
+                                     bool allow_tiers = false,
+                                     DecodedChunks* decoded = nullptr) const;
+
+  /// \brief Materializes each spec over each interval with one scan per
+  /// (event type, scan slot) for all of them: `out[k]` is what Build(specs,
+  /// intervals[k], ...) returns, bit for bit. Intervals may come in any order
+  /// and may repeat, overlap or abut.
+  ///
+  /// An interval whose `materialize` entry is 0 is scanned but not built
+  /// (`out[k]` stays empty): the caller already holds its features and wants
+  /// only its scan accounting. `degradation` receives, interval by interval
+  /// and scan slot by scan slot, what separate Build calls would have
+  /// reported, so a chunk that several intervals overlap counts once per
+  /// interval. The other parameters are Build's.
+  Result<std::vector<std::vector<Feature>>> BuildIntervals(
+      const std::vector<FeatureSpec>& specs,
+      const std::vector<TimeInterval>& intervals,
+      const std::vector<char>& materialize, ThreadPool* pool = nullptr,
+      const CancelToken* cancel = nullptr, DegradationReport* degradation = nullptr,
+      bool allow_tiers = false, DecodedChunks* decoded = nullptr) const;
 
   /// \brief Materializes one spec over `interval`.
   Result<Feature> BuildOne(const FeatureSpec& spec, const TimeInterval& interval) const;

@@ -104,50 +104,89 @@ void IncrementalFeatureState::EvictLocked(TypeTail* tail) {
 Result<ScanView> IncrementalFeatureState::ScanWithBackfill(
     const EventArchive& archive, EventTypeId type, const TimeInterval& interval,
     DegradationReport* degradation, const CancelToken* cancel) const {
+  std::vector<DegradationReport> reports(1);
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<ScanView> views,
+      ScanIntervalsWithBackfill(archive, type, {interval}, &reports, cancel));
+  if (degradation != nullptr) degradation->Merge(reports[0]);
+  return std::move(views[0]);
+}
+
+Result<std::vector<ScanView>> IncrementalFeatureState::ScanIntervalsWithBackfill(
+    const EventArchive& archive, EventTypeId type,
+    const std::vector<TimeInterval>& intervals,
+    std::vector<DegradationReport>* degradations, const CancelToken* cancel,
+    DecodedChunks* decoded) const {
+  const size_t n = intervals.size();
+  // Per interval: the part the tail serves ([floor, upper], or all of it)
+  // and the part the archive serves (the cold prefix [lower, floor-1], or
+  // all of it on a miss).
+  std::vector<TimeInterval> tail_part(n);
+  std::vector<char> from_tail(n, 0);
+  std::vector<TimeInterval> archive_parts;
+  std::vector<size_t> archive_owner;  // interval of each archive part
+  std::shared_ptr<const ChunkColumns> slice;
   const TypeTail* tail = type < tails_.size() ? tails_[type].get() : nullptr;
-  if (tail != nullptr) {
-    std::unique_lock<std::mutex> lock(tail->mu);
-    if (tail->has_floor && interval.lower >= tail->floor) {
-      // Entire interval covered by the tail: one deep-copied segment (the
-      // same cost class as the archive's open-tail snapshot), no archive
-      // locks, no spill I/O.
-      const auto [lo, hi] = tail->cols.RowRange(interval);
-      ScanView view;
-      if (hi > lo) {
-        auto cols = std::make_shared<ChunkColumns>(tail->cols.Slice(lo, hi));
-        const size_t n = cols->rows();
-        view.segments.push_back(ScanView::Segment{std::move(cols), 0, n, 0});
+  {
+    std::unique_lock<std::mutex> lock;
+    if (tail != nullptr) lock = std::unique_lock<std::mutex>(tail->mu);
+    size_t lo = 0, hi = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const TimeInterval& interval = intervals[k];
+      const bool covered = tail != nullptr && tail->has_floor;
+      if (covered && (interval.lower >= tail->floor || interval.upper >= tail->floor)) {
+        from_tail[k] = 1;
+        if (interval.lower >= tail->floor) {
+          // Entirely covered by the tail: no archive locks, no spill I/O.
+          tail_part[k] = interval;
+          full_hits_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          // Archive rows below the floor are strictly older than every tail
+          // row, so appending the tail segment last keeps global time order.
+          tail_part[k] = TimeInterval{tail->floor, interval.upper};
+          archive_parts.push_back(TimeInterval{interval.lower, tail->floor - 1});
+          archive_owner.push_back(k);
+          partial_hits_.fetch_add(1, std::memory_order_relaxed);
+        }
+        const auto [klo, khi] = tail->cols.RowRange(tail_part[k]);
+        if (khi > klo) {
+          lo = hi > lo ? std::min(lo, klo) : klo;
+          hi = std::max(hi, khi);
+        }
+      } else {
+        archive_parts.push_back(interval);
+        archive_owner.push_back(k);
+        misses_.fetch_add(1, std::memory_order_relaxed);
       }
-      full_hits_.fetch_add(1, std::memory_order_relaxed);
-      return view;
     }
-    if (tail->has_floor && interval.upper >= tail->floor) {
-      // The tail covers [floor, upper]; backfill [lower, floor-1] from the
-      // archive. Archive rows there are strictly older than every tail row,
-      // so appending the tail segment last keeps global time order.
-      const Timestamp floor = tail->floor;
-      const auto [lo, hi] =
-          tail->cols.RowRange(TimeInterval{floor, interval.upper});
-      std::shared_ptr<ChunkColumns> cols;
-      if (hi > lo) {
-        cols = std::make_shared<ChunkColumns>(tail->cols.Slice(lo, hi));
-      }
-      lock.unlock();
-      EXSTREAM_ASSIGN_OR_RETURN(
-          ScanView view,
-          archive.ScanColumns(type, TimeInterval{interval.lower, floor - 1},
-                              degradation, cancel, /*resolution=*/0));
-      if (cols != nullptr) {
-        const size_t n = cols->rows();
-        view.segments.push_back(
-            ScanView::Segment{std::move(cols), 0, n, view.segments.size()});
-      }
-      partial_hits_.fetch_add(1, std::memory_order_relaxed);
-      return view;
+    // One deep copy of the tail rows every interval needs (the same cost
+    // class as the archive's open-tail snapshot).
+    if (hi > lo) slice = std::make_shared<ChunkColumns>(tail->cols.Slice(lo, hi));
+  }
+
+  std::vector<ScanView> views(n);
+  if (!archive_parts.empty()) {
+    std::vector<DegradationReport> reports(archive_parts.size());
+    EXSTREAM_ASSIGN_OR_RETURN(
+        std::vector<ScanView> cold,
+        archive.ScanIntervals(type, archive_parts, &reports, cancel,
+                              /*resolution=*/0, decoded));
+    for (size_t j = 0; j < archive_parts.size(); ++j) {
+      views[archive_owner[j]] = std::move(cold[j]);
+      if (degradations != nullptr) (*degradations)[archive_owner[j]].Merge(reports[j]);
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return archive.ScanColumns(type, interval, degradation, cancel, /*resolution=*/0);
+  if (slice != nullptr) {
+    for (size_t k = 0; k < n; ++k) {
+      if (!from_tail[k]) continue;
+      const auto [lo, hi] = slice->RowRange(tail_part[k]);
+      if (hi > lo) {
+        views[k].segments.push_back(
+            ScanView::Segment{slice, lo, hi, views[k].segments.size()});
+      }
+    }
+  }
+  return views;
 }
 
 IncrementalFeatureState::Stats IncrementalFeatureState::stats() const {

@@ -68,6 +68,19 @@ class IncrementalFeatureState {
                                     DegradationReport* degradation = nullptr,
                                     const CancelToken* cancel = nullptr) const;
 
+  /// \brief ScanWithBackfill over several intervals in one pass: `views[k]`
+  /// equals ScanWithBackfill's view of `intervals[k]`, and each interval
+  /// counts as one full hit, partial hit or miss. ScanWithBackfill is the
+  /// one-interval call of this function. The tail is locked and sliced once
+  /// (over the union of the intervals' tail rows); the cold prefixes and
+  /// misses go to one EventArchive::ScanIntervals call, which takes
+  /// `degradations` (one report per interval, or null) and `decoded`.
+  Result<std::vector<ScanView>> ScanIntervalsWithBackfill(
+      const EventArchive& archive, EventTypeId type,
+      const std::vector<TimeInterval>& intervals,
+      std::vector<DegradationReport>* degradations = nullptr,
+      const CancelToken* cancel = nullptr, DecodedChunks* decoded = nullptr) const;
+
   Timestamp retention() const { return retention_; }
 
   /// Serving counters (monitoring / bench surface).
