@@ -255,20 +255,12 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
   for (const RankedFeature& f : report->after_leap) survivor_specs.push_back(f.spec);
 
   // The pools start with the annotated pair, whose survivor series the rank
-  // stage already built: abnormal side exact, reference side with the same
-  // tier setting. A tiered reference build of the survivors alone scans a
-  // type at the gcd of the survivors' windows, so the rank stage's reference
-  // series are reused only where that resolution matches the full space's.
+  // stage already built: the abnormal side always (exact rows), the reference
+  // side unless it is tiered. A tiered build of the survivors alone scans a
+  // type at the gcd of the survivors' windows, which may differ from the full
+  // space's, so a tiered reference side is rebuilt.
   const bool tiered =
       options_.tiered_reference_scans && !options_.use_legacy_row_scan;
-  bool reuse_reference = true;
-  for (const FeatureSpec& spec : survivor_specs) {
-    if (!tiered || spec.agg == AggregateKind::kRaw || spec.window <= 0) continue;
-    if (TieredScanResolution(survivor_specs, spec.type) !=
-        TieredScanResolution(specs_, spec.type)) {
-      reuse_reference = false;
-    }
-  }
 
   // Every other labeled interval is built in one pass: one scan per (event
   // type, scan slot) for all of them. The reused pair is scanned too, for
@@ -280,7 +272,7 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
                    reference_intervals.end());
   std::vector<char> materialize(intervals.size(), 1);
   materialize[0] = 0;
-  materialize[num_abnormal] = reuse_reference ? 0 : 1;
+  materialize[num_abnormal] = tiered ? 1 : 0;
   std::vector<std::vector<Feature>> built;
   auto build = [&](size_t lo, size_t hi, bool allow_tiers) -> Status {
     EXSTREAM_ASSIGN_OR_RETURN(

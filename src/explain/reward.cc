@@ -42,21 +42,12 @@ Result<std::vector<RankedFeature>> ComputeFeatureRewards(
     const TimeInterval& abnormal, const TimeInterval& reference,
     size_t min_support, ThreadPool* pool, const CancelToken* cancel,
     DegradationReport* degradation, bool tiered_reference, DecodedChunks* decoded) {
-  std::vector<Feature> fa, fr;
-  if (tiered_reference) {
-    // The two sides scan at different resolutions: one build each.
-    EXSTREAM_ASSIGN_OR_RETURN(
-        fa, builder.Build(specs, abnormal, pool, cancel, degradation, false, decoded));
-    EXSTREAM_ASSIGN_OR_RETURN(
-        fr, builder.Build(specs, reference, pool, cancel, degradation, true, decoded));
-  } else {
-    EXSTREAM_ASSIGN_OR_RETURN(
-        std::vector<std::vector<Feature>> both,
-        builder.BuildIntervals(specs, {abnormal, reference}, {1, 1}, pool, cancel,
-                               degradation, false, decoded));
-    fa = std::move(both[0]);
-    fr = std::move(both[1]);
-  }
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<Feature> fa,
+      builder.Build(specs, abnormal, pool, cancel, degradation, false, decoded));
+  EXSTREAM_ASSIGN_OR_RETURN(std::vector<Feature> fr,
+                            builder.Build(specs, reference, pool, cancel, degradation,
+                                          tiered_reference, decoded));
   std::vector<RankedFeature> ranked =
       RankFeatures(std::move(fa), std::move(fr), min_support, pool, cancel);
   if (cancel != nullptr && cancel->Expired()) {

@@ -207,17 +207,6 @@ Result<TimeSeries> TieredAggregate(const ScanView& view, const FeatureSpec& spec
 
 }  // namespace
 
-Timestamp TieredScanResolution(const std::vector<FeatureSpec>& specs,
-                               EventTypeId type) {
-  Timestamp resolution = 0;
-  for (const FeatureSpec& spec : specs) {
-    if (spec.type == type && spec.agg != AggregateKind::kRaw && spec.window > 0) {
-      resolution = std::gcd(resolution, spec.window);
-    }
-  }
-  return resolution;
-}
-
 Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec>& specs,
                                                    const TimeInterval& interval,
                                                    ThreadPool* pool,
@@ -271,8 +260,11 @@ Result<std::vector<std::vector<Feature>>> FeatureBuilder::BuildIntervals(
     spec_scan[i] = slot;
   }
   std::vector<Timestamp> scan_resolution(scan_types.size(), 0);
-  for (size_t s = 0; s < scan_types.size(); ++s) {
-    if (scan_wants_tier[s]) scan_resolution[s] = TieredScanResolution(specs, scan_types[s]);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const size_t slot = spec_scan[i];
+    if (scan_wants_tier[slot]) {
+      scan_resolution[slot] = std::gcd(scan_resolution[slot], specs[i].window);
+    }
   }
   // The intervals to build, in order.
   std::vector<size_t> built_intervals;

@@ -14,13 +14,6 @@
 
 namespace exstream {
 
-/// \brief The resolution a tiered build of `specs` declares for `type`'s
-/// aggregate scan: the gcd of the windows of `type`'s fixed-window aggregate
-/// specs (0 when it has none). Two spec lists with equal resolutions for a
-/// type get the same tiered scan of it, hence the same features.
-Timestamp TieredScanResolution(const std::vector<FeatureSpec>& specs,
-                               EventTypeId type);
-
 /// \brief Builds feature time series by replaying archived events.
 ///
 /// Events of each (type, attribute) pair are scanned once per build (for

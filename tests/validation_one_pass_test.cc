@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -204,17 +205,29 @@ struct Case {
   std::vector<Timestamp> one_survivor_windows = {};
 };
 
+// The resolution a tiered build of `specs` declares for `type`'s aggregate
+// scan: the gcd of its fixed-window aggregate specs' windows.
+Timestamp TieredResolution(const std::vector<FeatureSpec>& specs, EventTypeId type) {
+  Timestamp resolution = 0;
+  for (const FeatureSpec& spec : specs) {
+    if (spec.type == type && spec.agg != AggregateKind::kRaw && spec.window > 0) {
+      resolution = std::gcd(resolution, spec.window);
+    }
+  }
+  return resolution;
+}
+
 // Whether a tiered build of `survivors` alone scans some type at another
-// resolution than a build of the full space `specs` (then the rank stage's
-// reference series cannot be reused).
+// resolution than a build of the full space `specs` (then reusing the rank
+// stage's tiered reference series would be wrong).
 bool SurvivorResolutionDiffers(const std::vector<FeatureSpec>& specs,
                                const std::vector<RankedFeature>& survivors) {
   std::vector<FeatureSpec> survivor_specs;
   for (const RankedFeature& f : survivors) survivor_specs.push_back(f.spec);
   for (const FeatureSpec& spec : survivor_specs) {
     if (spec.agg == AggregateKind::kRaw || spec.window <= 0) continue;
-    if (TieredScanResolution(survivor_specs, spec.type) !=
-        TieredScanResolution(specs, spec.type)) {
+    if (TieredResolution(survivor_specs, spec.type) !=
+        TieredResolution(specs, spec.type)) {
       return true;
     }
   }
@@ -376,6 +389,58 @@ TEST(ValidationOnePassTest, BuildIntervalsMatchesOneBuildPerInterval) {
   }
   EXPECT_GT(archive.tier_segments_served(), 0u);
   EXPECT_GT(tails.stats().partial_hits, 0u);
+}
+
+// The per-interval reference builds through the same archive and tail scans
+// as the engine, so a scan defect common to one and many intervals would
+// not show as a difference. This test reads no scan: every raw feature of
+// every labeled interval Step 2 pools, built in one BuildIntervals call over
+// spilled chunks, open chunks and a partly covering tail, must equal the
+// simulator's events of that type filtered by the interval.
+TEST(ValidationOnePassTest, RawFeaturesMatchTheEventStream) {
+  auto run = BuildWorkloadRun(HadoopWorkloads()[0], FastOptions());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const WorkloadRun& w = **run;
+  TempDir dir;
+  const Replica r = MakeReplica(w, dir.path(), {});
+  ASSERT_FALSE(SpillFiles(dir.path()).empty());
+  const ExplainOptions options = w.DefaultExplainOptions();
+  const ReferenceExplainer reference(r.archive.get(), w.partitions.get(),
+                                     w.MakeSeriesProvider(), options, r.tails.get());
+  std::vector<TimeInterval> pooled;
+  ASSERT_TRUE(reference.Explain(w.annotation, &pooled).ok());
+  ASSERT_GT(pooled.size(), 2u);
+  std::vector<FeatureSpec> raw_specs;
+  for (const FeatureSpec& spec : GenerateFeatureSpecs(*w.registry, options.feature_space)) {
+    if (spec.agg == AggregateKind::kRaw) raw_specs.push_back(spec);
+  }
+  ASSERT_FALSE(raw_specs.empty());
+  const auto before = r.tails->stats();
+  const FeatureBuilder builder(r.archive.get(), false, r.tails.get());
+  DecodedChunks decoded;
+  auto got = builder.BuildIntervals(raw_specs, pooled,
+                                    std::vector<char>(pooled.size(), 1), nullptr,
+                                    nullptr, nullptr, false, &decoded);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (size_t k = 0; k < pooled.size(); ++k) {
+    SCOPED_TRACE("interval " + std::to_string(k));
+    for (size_t i = 0; i < raw_specs.size(); ++i) {
+      SCOPED_TRACE(raw_specs[i].Name());
+      std::vector<Timestamp> times;
+      std::vector<double> values;
+      for (const Event& e : r.events[raw_specs[i].type]) {
+        if (!pooled[k].Contains(e.ts)) continue;
+        times.push_back(e.ts);
+        values.push_back(e.values[raw_specs[i].attr_index].AsDouble());
+      }
+      EXPECT_EQ((*got)[k][i].series.times(), times);
+      EXPECT_EQ((*got)[k][i].series.values(), values);
+    }
+  }
+  const auto after = r.tails->stats();
+  EXPECT_GT(after.full_hits, before.full_hits);
+  EXPECT_GT(after.partial_hits, before.partial_hits);
+  EXPECT_GT(after.misses, before.misses);
 }
 
 // The reference interval usually lies in the abnormal partition; its

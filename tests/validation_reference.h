@@ -9,6 +9,15 @@
 // definition ExplanationEngine must reproduce bit for bit: the ranking,
 // every ValidatedFeature, the explanation and the degradation report. It
 // fetches the monitored series of the annotated partitions once per side.
+//
+// Its one-interval builds run on the same archive and tail scans as the
+// engine's (Build is the one-interval call of BuildIntervals), so only the
+// pooling and the sharing of scans and decodes are checked independently.
+// The scans themselves are pinned against data that no scan produced:
+// ValidationOnePassTest.RawFeaturesMatchTheEventStream (raw features of
+// every pooled interval against the simulator's events), archive_test's
+// ScanColumnsMatchesRowScan and incremental_features_test's
+// FullHitMatchesArchiveScan and BuilderDifferentialAcrossPaths.
 
 #pragma once
 
